@@ -423,7 +423,7 @@ def _bracket_angular_mean(n: int, sigma: float, q: float) -> float:
         if abs(sigma - 2.0) < 1e-12:
             return float(np.log((1 + q) / (1 - q)) / (2 * q))
         e = 1.0 - sigma / 2.0
-        return float(((1 - q) ** (2 * e) - (1 + q) ** (2 * e)) / (4 * q * e))
+        return float(((1 + q) ** (2 * e) - (1 - q) ** (2 * e)) / (4 * q * e))
     raise NotImplementedError("closed angular mean implemented for n in {2,3}")
 
 

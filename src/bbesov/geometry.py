@@ -135,18 +135,13 @@ def _conflict_radius(delta: float, one_minus_r2) -> np.ndarray:
 
 
 def _shell_radii(delta: float, rmax: float):
-    d = delta / 2.0
-    radii = [0.0]
-    r = 0.0
-    while r < rmax:
-        r = (r + d) / (1.0 + r * d)
-        if r >= rmax:
-            break
+    d, radii = delta / 2.0, [0.0]
+    while (r := (radii[-1] + d) / (1.0 + radii[-1] * d)) < rmax:
         radii.append(r)
     return radii
 
 
-def _shell_candidates(n: int, r: float, delta: float, rng_order=None):
+def _shell_candidates(n: int, r: float, delta: float):
     """Deterministic candidate directions, lexicographic angular order."""
     if r == 0.0:
         return np.zeros((1, n))
@@ -155,15 +150,109 @@ def _shell_candidates(n: int, r: float, delta: float, rng_order=None):
         M = max(8, int(math.ceil(2.0 * math.pi / step)))
         theta = 2.0 * np.pi * np.arange(M) / M
         return r * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    if n == 3:
-        # Fibonacci sphere, ordered by polar angle then azimuth
-        N = max(16, int(math.ceil(16.0 / step**2)))
-        i = np.arange(N)
-        z = 1.0 - 2.0 * (i + 0.5) / N
-        phi = i * (math.pi * (3.0 - math.sqrt(5.0)))
-        st = np.sqrt(1.0 - z**2)
-        return r * np.stack([st * np.cos(phi), st * np.sin(phi), z], axis=1)
-    raise NotImplementedError("lattice generation implemented for n in {2, 3}")
+    # n = 3: Fibonacci sphere, ordered by polar angle then azimuth
+    N = max(16, int(math.ceil(16.0 / step**2)))
+    i = np.arange(N)
+    z = 1.0 - 2.0 * (i + 0.5) / N
+    phi = i * (math.pi * (3.0 - math.sqrt(5.0)))
+    st = np.sqrt(1.0 - z**2)
+    return r * np.stack([st * np.cos(phi), st * np.sin(phi), z], axis=1)
+
+
+def _cells(lo: np.ndarray, hi: np.ndarray):
+    """Centres of polar boxes (ranges of t = atanh|x|, polar angle if n = 3,
+    azimuth) and metric bounds of the moves from a point of a box to its
+    centre: radially, tanh(dt / 2), then by arcs along a meridian and a ring
+    of the centre's shell.  On that shell, of radius r, points an arc L apart
+    have rho <= L / (1 - r^2), as [x, y] >= 1 - r^2 there; those bounds stop
+    just below 1 (rho < 1 in any case) to keep arctanh finite in _fill."""
+    c, a = (lo + hi) / 2.0, (hi - lo) / 2.0
+    r = np.tanh(c[:, 0])
+    if lo.shape[1] == 2:
+        u, arcs = np.column_stack([np.cos(c[:, 1]), np.sin(c[:, 1])]), [a[:, 1]]
+    else:
+        sp = np.sin(c[:, 1])
+        u = np.column_stack([sp * np.cos(c[:, 2]), sp * np.sin(c[:, 2]), np.cos(c[:, 1])])
+        arcs = [a[:, 1], sp * a[:, 2]]
+    moves = [np.minimum(r / (1.0 - r * r) * L, 1.0 - 1e-16) for L in arcs]
+    return r[:, None] * u, np.column_stack([np.tanh(a[:, 0])] + moves)
+
+
+def _halve(lo, hi):
+    """Halve each box along its longest move; the two halves follow each other."""
+    i, ax = np.arange(len(lo)), np.argmax(_cells(lo, hi)[1], axis=1)
+    L, H = np.stack([lo, lo], axis=1), np.stack([hi, hi], axis=1)
+    L[i, 1, ax] = H[i, 0, ax] = (lo[i, ax] + hi[i, ax]) / 2.0
+    return L.reshape(-1, lo.shape[1]), H.reshape(-1, lo.shape[1])
+
+
+def _root_net(n: int, rmax: float, h: float):
+    """Polar boxes of |x| <= rmax, halved until every move is <= h / 2."""
+    top = [math.atanh(rmax)] + [math.pi] * (n - 2) + [2.0 * math.pi]
+    lo, hi = np.zeros((1, n)), np.array([top])
+    while (big := _cells(lo, hi)[1].max(axis=1) > h / 2.0).any():
+        halves = _halve(lo[big], hi[big])
+        lo, hi = np.concatenate([lo[~big], halves[0]]), np.concatenate([hi[~big], halves[1]])
+    return lo, hi
+
+
+def _rho2(X: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Matrix of squared metric distances between the rows of X and of P."""
+    num = sum((X[:, j, None] - P[None, :, j]) ** 2 for j in range(X.shape[1]))
+    x2, p2 = np.einsum("ij,ij->i", X, X), np.einsum("ij,ij->i", P, P)
+    return num / np.maximum(1.0 - 2.0 * (X @ P.T) + x2[:, None] * p2[None, :], 1e-300)
+
+
+def _min_rho(X: np.ndarray, P: np.ndarray, delta: float) -> np.ndarray:
+    """min(delta, rho(x, P)) for each row x of X, in blocks of about 1 MB; a
+    block meets only the points of P within the conflict radius of its ball."""
+    out = np.full(X.shape[0], float(delta))
+    rows = max(1, (1 << 17) // max(1, P.shape[0]))
+    for s in range(0, X.shape[0], rows):
+        B = X[s:s + rows]
+        mid = (B.max(axis=0) + B.min(axis=0)) / 2.0
+        reach = (np.linalg.norm(B - mid, axis=1).max()
+                 + _conflict_radius(delta, 1.0 - np.einsum("ij,ij->i", B, B).min()))
+        near = P[np.linalg.norm(P - mid, axis=1) <= reach * (1.0 + 1e-12)]
+        if near.shape[0]:
+            out[s:s + rows] = np.minimum(out[s:s + rows], np.sqrt(_rho2(B, near).min(axis=1)))
+    return out
+
+
+def _select(C: np.ndarray, d: np.ndarray, delta: float) -> np.ndarray:
+    """Rows of C a greedy delta-separated pass takes in order: d >= delta (the
+    distance to earlier points) and delta-far from the rows taken before."""
+    free, keep = np.flatnonzero(d >= delta), []
+    while free.size:
+        keep.append(free[0])
+        free = free[1:][_rho2(C[free[:1]], C[free[1:]])[0] >= delta * delta]
+    return C[keep]
+
+
+def _fill(P: np.ndarray, delta: float, rmax: float, depth: int = 48) -> np.ndarray:
+    """Extend the delta-separated P until |x| <= rmax is certified covered.
+
+    The strong triangle inequality rho(x, z) <= rho(x, y) (+) rho(y, z), with
+    a (+) b = (a + b) / (1 + a b), joins the moves of _cells: a box lies
+    within eps = (+) of its moves (plus 1e-9 of that, for rounding) of its
+    centre c.  The root net, h = delta / 2, has every move <= h / 2 and so
+    covers with eps0 = tanh(n atanh(h / 2)).  With d = rho(c, P), a cell is a
+    gap if d >= delta (gaps are taken greedily in cell order), covered if
+    eps (+) d < delta, i.e. d < (delta - eps) / (1 - delta eps), and else
+    uncertain and halved.  After depth halvings, a cell still uncertain is
+    covered to within delta (+) eps.
+    """
+    lo, hi = _root_net(P.shape[1], rmax, delta / 2.0)
+    for level in range(depth + 1):
+        C, moves = _cells(lo, hi)
+        d = _min_rho(C, P, delta)
+        new = _select(C, d, delta)
+        P, d = np.concatenate([P, new]), np.minimum(d, _min_rho(C, new, delta))
+        eps = np.tanh(np.arctanh(moves).sum(axis=1)) * (1.0 + 1e-9) + 1e-12
+        unsure = d >= (delta - eps) / (1.0 - delta * eps)
+        if not unsure.any() or level == depth:
+            return P
+        lo, hi = _halve(lo[unsure], hi[unsure])
 
 
 def lattice_gen(n: int, delta: float, rmax: float,
@@ -171,119 +260,30 @@ def lattice_gen(n: int, delta: float, rmax: float,
                 max_points: int = 2_000_000) -> Lattice:
     """Greedy maximal delta-separated net on metrically equispaced shells.
 
-    Deterministic for fixed (n, delta, rmax): the origin is taken first,
-    shells are processed outward, and candidates on each shell in
-    lexicographic angular order.
+    Deterministic for fixed (n, delta, rmax), with no random numbers: the
+    origin first, then shells outward, candidates on each shell in angular
+    order; _fill then certifies coverage of |x| <= rmax.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     if not 0.0 < rmax < 1.0:
         raise ValueError("rmax must lie in (0, 1)")
+    if n not in (2, 3):
+        raise NotImplementedError("lattice generation implemented for n in {2, 3}")
     radii = _shell_radii(delta, rmax)
     est = sum(max(1.0, 4.0 * (r / (delta * (1 - r**2)))) ** (n - 1) * 4 for r in radii)
     if est > max_points:
         raise ValueError(
             f"estimated lattice size {est:.2e} exceeds max_points={max_points}; "
             "use a smaller horizon")
-    accepted = [np.zeros(n)]
+    pts = np.zeros((1, n))
     for r in radii[1:]:
         cand = _shell_candidates(n, r, delta)
-        prev = np.array(accepted)
-        tree = cKDTree(prev)
-        crad = float(_conflict_radius(delta, 1.0 - r**2))
-        near_prev = tree.query_ball_point(cand, crad + delta * (1 - r**2))
-        # same-shell accepted points, hashed on a grid of cell size crad
-        cell = max(crad, 1e-12)
-        grid: dict = {}
-        shell_pts = []
-        for idx in range(cand.shape[0]):
-            x = cand[idx]
-            ok = True
-            neigh = near_prev[idx]
-            if neigh:
-                if np.min(rho_batch(x, prev[neigh])) < delta:
-                    ok = False
-            if ok and shell_pts:
-                key = tuple((x // cell).astype(np.int64))
-                local = []
-                for off in _grid_offsets(n):
-                    local.extend(grid.get(tuple(np.add(key, off)), ()))
-                if local and np.min(rho_batch(x, np.array([shell_pts[j] for j in local]))) < delta:
-                    ok = False
-            if ok:
-                if shell_pts is not None:
-                    key = tuple((x // cell).astype(np.int64))
-                    grid.setdefault(key, []).append(len(shell_pts))
-                shell_pts.append(x)
-                accepted.append(x)
-        if len(accepted) > max_points:
+        pts = np.concatenate([pts, _select(cand, _min_rho(cand, pts, delta), delta)])
+        if pts.shape[0] > max_points:
             raise ValueError("lattice grew past max_points")
-    # Repair pass toward maximality: any sampled point at distance >= delta
-    # from every accepted point is itself a legal lattice point; adding it
-    # preserves separation and plugs coverage gaps left by the candidate grid.
-    # Rounds continue until a full round finds no gap.
-    rng = np.random.default_rng(20_000 + n)
-    clean_rounds = 0
-    for _ in range(25):
-        m = min(max(100 * len(accepted), 200_000), 500_000)
-        dirs = rng.normal(size=(m, n))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        # stratified radii: Euclidean-uniform, metric-uniform, and a dense
-        # sweep of the outermost half-step band where truncation leaves
-        # slivers that are negligible in Euclidean area
-        rr = rmax * rng.uniform(size=m) ** (1.0 / n)
-        half, quart = m // 2, m // 4
-        rr[:half] = np.tanh(rng.uniform(0.0, math.atanh(rmax), half))
-        d = delta / 2.0
-        rim0 = (rmax - d) / (1.0 - rmax * d)
-        rr[half:half + quart] = rng.uniform(rim0, rmax, quart)
-        X = rr[:, None] * dirs
-        pts = np.array(accepted)
-        gaps = X[_uncovered_mask(pts, X, delta)]
-        added = 0
-        for x in gaps:
-            recent = np.array(accepted[pts.shape[0]:]) if len(accepted) > pts.shape[0] else None
-            if recent is not None and recent.size \
-                    and float(np.min(rho_batch(x, recent))) < delta:
-                continue
-            accepted.append(x)
-            added += 1
-        clean_rounds = clean_rounds + 1 if added == 0 else 0
-        if clean_rounds >= 3:
-            break
     return Lattice(n, float(delta), float(rmax), int(multiplicity_bound),
-                   np.array(accepted))
-
-
-def _uncovered_mask(pts: np.ndarray, X: np.ndarray, delta: float) -> np.ndarray:
-    """Boolean mask of rows of X at metric distance >= delta from all of pts.
-
-    Fast path through the k nearest Euclidean neighbors; the rare samples not
-    settled there fall back to an exact conflict-radius ball query.
-    """
-    tree = cKDTree(pts)
-    k = min(16, pts.shape[0])
-    _, idx = tree.query(X, k=k)
-    idx = np.atleast_2d(idx.reshape(X.shape[0], -1))
-    P = pts[idx]                                    # (m, k, n)
-    diff = np.linalg.norm(P - X[:, None, :], axis=2)
-    b2 = (1.0 - 2.0 * np.einsum("mkj,mj->mk", P, X)
-          + np.einsum("mkj,mkj->mk", P, P)
-          * np.einsum("mj,mj->m", X, X)[:, None])
-    rho_near = diff / np.sqrt(np.maximum(b2, 1e-300))
-    maybe = rho_near.min(axis=1) >= delta
-    out = np.zeros(X.shape[0], dtype=bool)
-    for i in np.flatnonzero(maybe):
-        x = X[i]
-        crad = float(_conflict_radius(delta, 1.0 - float(np.dot(x, x))))
-        near = tree.query_ball_point(x, crad)
-        out[i] = not (near and float(np.min(rho_batch(x, pts[near]))) < delta)
-    return out
-
-
-def _grid_offsets(n: int):
-    from itertools import product
-    return list(product((-1, 0, 1), repeat=n))
+                   _fill(pts, delta, rmax))
 
 
 def lattice_separation(lat: Lattice) -> float:

@@ -70,6 +70,7 @@ def _gamma_array(n: int, alpha: float, kmax: int) -> np.ndarray:
             m = 1
         for k in range(m - 1, size - 1):
             new[k + 1] = new[k] * _gamma_ratio(n, alpha, k)
+        new.setflags(write=False)  # callers get views of the shared cache
         arr = new
         _gamma_cache[key] = arr
     return arr

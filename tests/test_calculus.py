@@ -151,6 +151,26 @@ def test_bracket_scan_regimes_light():
     assert flat.max_min_ratio < 10.0
 
 
+@pytest.mark.parametrize("sigma", [0.5, 2.0, 3.0, 4.5])
+def test_bracket_angular_mean_n3_mpmath(sigma):
+    # sphere average of [x, y]^(-sigma) in R^3: t = cos(angle) is uniform
+    # on [-1, 1], so the mean is (1/2) int_{-1}^{1} (1 - 2qt + q^2)^(-sigma/2) dt
+    import mpmath
+    with mpmath.workdps(30):
+        for q in (0.05, 0.3, 0.7, 0.95):
+            qm = mpmath.mpf(q)
+            want = mpmath.quad(lambda t: (1 - 2 * qm * t + qm**2) ** (-sigma / 2),
+                               [-1, 0, 1]) / 2
+            got = ca._bracket_angular_mean(3, sigma, q)
+            assert got == pytest.approx(float(want), rel=1e-12)
+
+
+def test_bracket_scan_n3_positive():
+    res = ca.bracket_integral_scan(0.0, 1.0, [0.9, 0.95, 0.98], n=3)
+    assert np.all(res.values > 0.0)
+    assert res.slope == pytest.approx(-1.0, rel=0.1)
+
+
 def test_integrate_adaptive_doubles_until_stable():
     val = ca.integrate_adaptive(2, 0.0, lambda X: np.exp(X[:, 0]), level=16)
     # int_B exp(x_1) dnu for n=2 equals 2 I_1(1) / 1  (Bessel); oracle value

@@ -140,6 +140,76 @@ def test_lattice_audits_n3():
     assert mult <= lat.multiplicity_bound
 
 
+def test_lattice_fill_closes_shell_gaps(monkeypatch):
+    # the shells alone leave gaps in (2, 0.5, 0.9); the certified fill closes them
+    with monkeypatch.context() as m:
+        m.setattr(ge, "_fill", lambda P, delta, rmax: P)
+        shells = ge.lattice_gen(2, 0.5, 0.9)
+    assert sum(ge.lattice_coverage(shells, samples=4000, seed=s)[0] for s in range(3)) > 0
+    lat = ge.lattice_gen(2, 0.5, 0.9)
+    assert ge.lattice_separation(lat) >= 0.5 - 1e-12
+    for seed in range(6):
+        uncovered, mult = ge.lattice_coverage(lat, samples=4000, seed=seed)
+        assert uncovered == 0
+        assert mult <= lat.multiplicity_bound
+
+
+@pytest.mark.parametrize("n, delta, rmax", [(2, 0.5, 0.9), (3, 0.5, 0.7)])
+def test_shell_phase_matches_loop_reference(monkeypatch, n, delta, rmax):
+    # the vectorised greedy pass takes exactly the points of a plain loop that
+    # tests each candidate against every point taken before it
+    ref = [np.zeros(n)]
+    for r in ge._shell_radii(delta, rmax)[1:]:
+        for x in ge._shell_candidates(n, r, delta):
+            if ge.rho_batch(x, np.array(ref)).min() >= delta:
+                ref.append(x)
+    monkeypatch.setattr(ge, "_fill", lambda P, delta, rmax: P)
+    assert np.array_equal(ge.lattice_gen(n, delta, rmax).points, np.array(ref))
+
+
+def test_lattice_gen_draws_no_random_numbers(monkeypatch):
+    ref = ge.lattice_to_json(ge.lattice_gen(2, 0.5, 0.9))
+    np.random.seed(7)
+    np.random.default_rng(8).normal(size=5)
+    state = np.random.get_state()
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("lattice_gen asked for a random generator")
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    assert ge.lattice_to_json(ge.lattice_gen(2, 0.5, 0.9)) == ref
+    after = np.random.get_state()
+    assert np.array_equal(after[1], state[1]) and after[2] == state[2]
+
+
+@pytest.mark.parametrize("n, delta, rmax", [(2, 0.5, 0.9), (2, 0.5, 0.99),
+                                            (3, 0.5, 0.7), (3, 0.6, 0.85)])
+def test_lattice_points_inside_horizon(n, delta, rmax):
+    lat = ge.lattice_gen(n, delta, rmax)
+    assert np.all(np.linalg.norm(lat.points, axis=1) <= rmax)
+
+
+@pytest.mark.parametrize("n, rmax, h", [(2, 0.9, 0.25), (3, 0.7, 0.25)])
+def test_root_net_covering_radius(n, rmax, h):
+    # each point lies within its box's certified radius of the box centre,
+    # and every radius is at most eps0 = tanh(n atanh(h / 2))
+    lo, hi = ge._root_net(n, rmax, h)
+    centres, moves = ge._cells(lo, hi)
+    eps = np.tanh(np.arctanh(moves).sum(axis=1))
+    assert eps.max() <= np.tanh(n * np.arctanh(h / 2))
+    assert np.all(np.linalg.norm(centres, axis=1) <= rmax)
+    rng = np.random.default_rng(40 + n)
+    X = rng.normal(size=(3000, n))
+    X *= (rmax * rng.uniform(size=3000) ** (1 / n) / np.linalg.norm(X, axis=1))[:, None]
+    X[:500] *= rmax / np.linalg.norm(X[:500], axis=1)[:, None]  # the rim itself
+    r = np.linalg.norm(X, axis=1)
+    coords = [np.arctanh(r)] + ([np.arccos(X[:, 2] / r)] if n == 3 else [])
+    coords = np.column_stack(coords + [np.mod(np.arctan2(X[:, 1], X[:, 0]), 2 * np.pi)])
+    for x, c in zip(X, coords):
+        box = np.flatnonzero(np.all((lo <= c + 1e-12) & (c <= hi + 1e-12), axis=1))[0]
+        assert ge.rho(x, centres[box]) <= eps[box] + 1e-12
+        assert float(ge.rho_batch(x, centres).min()) <= eps.max()
+
+
 def test_lattice_json_roundtrip():
     lat = ge.lattice_gen(2, 0.6, 0.9)
     doc = json.loads(ge.lattice_to_json(lat))

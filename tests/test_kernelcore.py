@@ -47,6 +47,17 @@ def test_gamma_zero_index_is_one():
             assert kc.gamma_coeffs(n, float(alpha), 0)[0] == 1.0
 
 
+def test_gamma_coeffs_read_only():
+    # the arrays are views of a process-wide cache: writes must raise
+    g = kc.gamma_coeffs(2, 0.75, 12)
+    with pytest.raises(ValueError):
+        g[3] = 0.0
+    with pytest.raises(ValueError):
+        g *= 2.0
+    expect = lgamma_gamma_k(2, 0.75, 3)
+    assert kc.gamma_coeffs(2, 0.75, 12)[3] == pytest.approx(expect, rel=1e-12)
+
+
 def test_gamma_growth_exponent():
     # gamma_k ~ k^(1+alpha) on both branches
     for n, alpha in ((2, 1.5), (3, -3.0)):

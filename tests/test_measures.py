@@ -129,6 +129,21 @@ def test_berezin_type_volume_matches_quadrature():
     assert got == pytest.approx(expect, rel=1e-9)
 
 
+def test_berezin_type_n3_power_weight_positive():
+    # n = 3 power-weight density through the closed angular mean, against a
+    # product rule for the same integral; the integrand is positive
+    c, alpha, s_exp = 0.5, 0.25, 1.0
+    mu = me.Measure(3, [], me.Density("power-weight", c, 1.0))
+    rule = ca.quadrature_build(3, c, 64)
+    for x in (np.array([0.3, -0.2, 0.1]), np.array([0.0, 0.5, 0.4])):
+        got = me.berezin_type(mu, alpha, s_exp, x)
+        b = ge.bracket_batch(x, rule.points) ** (-(alpha + 3 + s_exp))
+        expect = ((1 - float(x @ x)) ** s_exp * kc.v_alpha(3, c)
+                  * float(np.dot(rule.weights, b)))
+        assert got > 0.0
+        assert got == pytest.approx(expect, rel=1e-9)
+
+
 def test_kappa_from_mu_bookkeeping():
     mu = atoms_measure()
     mu.density = me.Density("power-weight", 1.0, 0.5)
