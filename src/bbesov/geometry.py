@@ -13,17 +13,18 @@ from . import kernelcore as kc
 
 def bracket(x, y) -> float:
     """[x, y] = sqrt(1 - 2 x.y + |x|^2 |y|^2); symmetric, [x, x] = 1 - |x|^2."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    v = 1.0 - 2.0 * float(np.dot(x, y)) + float(np.dot(x, x)) * float(np.dot(y, y))
-    return math.sqrt(max(v, 0.0))
+    return float(bracket_batch(x, y)[0])
 
 
 def bracket_batch(x, Y) -> np.ndarray:
+    """[x, y] for each row y of Y; for a 2-D x, the matrix over rows of x and Y."""
     x = np.asarray(x, dtype=np.float64)
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
-    v = 1.0 - 2.0 * (Y @ x) + float(np.dot(x, x)) * np.einsum("ij,ij->i", Y, Y)
-    return np.sqrt(np.maximum(v, 0.0))
+    X = np.atleast_2d(x)
+    v = (1.0 - 2.0 * (X @ Y.T)
+         + np.einsum("ij,ij->i", X, X)[:, None] * np.einsum("ij,ij->i", Y, Y)[None, :])
+    b = np.sqrt(np.maximum(v, 0.0))
+    return b if x.ndim == 2 else b[0]
 
 
 def mobius(a, x) -> np.ndarray:
@@ -37,22 +38,19 @@ def mobius(a, x) -> np.ndarray:
 
 def rho(x, y) -> float:
     """Pseudohyperbolic distance |x - y| / [x, y], in [0, 1) inside the ball."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    b = bracket(x, y)
-    if b == 0.0:
-        return 0.0
-    return float(np.linalg.norm(x - y)) / b
+    return float(rho_batch(x, y)[0])
 
 
 def rho_batch(x, Y) -> np.ndarray:
+    """rho(x, y) for each row y of Y; for a 2-D x, the matrix over rows of x and Y."""
     x = np.asarray(x, dtype=np.float64)
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
-    b = bracket_batch(x, Y)
-    d = np.linalg.norm(Y - x[None, :], axis=1)
+    X = np.atleast_2d(x)
+    b = bracket_batch(X, Y)
+    d = np.sqrt(sum((X[:, j, None] - Y[None, :, j]) ** 2 for j in range(X.shape[1])))
     with np.errstate(invalid="ignore", divide="ignore"):
         out = np.where(b > 0, d / np.where(b > 0, b, 1.0), 0.0)
-    return out
+    return out if x.ndim == 2 else out[0]
 
 
 @dataclass
@@ -135,8 +133,13 @@ def _conflict_radius(delta: float, one_minus_r2) -> np.ndarray:
 
 
 def _shell_radii(delta: float, rmax: float):
-    d, radii = delta / 2.0, [0.0]
-    while (r := (radii[-1] + d) / (1.0 + radii[-1] * d)) < rmax:
+    d = delta / 2.0
+    radii = [0.0]
+    r = 0.0
+    while r < rmax:
+        r = (r + d) / (1.0 + r * d)
+        if r >= rmax:
+            break
         radii.append(r)
     return radii
 
@@ -196,13 +199,6 @@ def _root_net(n: int, rmax: float, h: float):
     return lo, hi
 
 
-def _rho2(X: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Matrix of squared metric distances between the rows of X and of P."""
-    num = sum((X[:, j, None] - P[None, :, j]) ** 2 for j in range(X.shape[1]))
-    x2, p2 = np.einsum("ij,ij->i", X, X), np.einsum("ij,ij->i", P, P)
-    return num / np.maximum(1.0 - 2.0 * (X @ P.T) + x2[:, None] * p2[None, :], 1e-300)
-
-
 def _min_rho(X: np.ndarray, P: np.ndarray, delta: float) -> np.ndarray:
     """min(delta, rho(x, P)) for each row x of X, in blocks of about 1 MB; a
     block meets only the points of P within the conflict radius of its ball."""
@@ -215,21 +211,25 @@ def _min_rho(X: np.ndarray, P: np.ndarray, delta: float) -> np.ndarray:
                  + _conflict_radius(delta, 1.0 - np.einsum("ij,ij->i", B, B).min()))
         near = P[np.linalg.norm(P - mid, axis=1) <= reach * (1.0 + 1e-12)]
         if near.shape[0]:
-            out[s:s + rows] = np.minimum(out[s:s + rows], np.sqrt(_rho2(B, near).min(axis=1)))
+            out[s:s + rows] = np.minimum(out[s:s + rows], rho_batch(B, near).min(axis=1))
     return out
 
 
 def _select(C: np.ndarray, d: np.ndarray, delta: float) -> np.ndarray:
     """Rows of C a greedy delta-separated pass takes in order: d >= delta (the
     distance to earlier points) and delta-far from the rows taken before."""
-    free, keep = np.flatnonzero(d >= delta), []
+    free = np.flatnonzero(d >= delta)
+    keep = []
     while free.size:
         keep.append(free[0])
-        free = free[1:][_rho2(C[free[:1]], C[free[1:]])[0] >= delta * delta]
+        free = free[1:][rho_batch(C[free[0]], C[free[1:]]) >= delta]
     return C[keep]
 
 
-def _fill(P: np.ndarray, delta: float, rmax: float, depth: int = 48) -> np.ndarray:
+_FILL_DEPTH = 48  # halvings of a root cell after which _fill stops
+
+
+def _fill(P: np.ndarray, delta: float, rmax: float) -> np.ndarray:
     """Extend the delta-separated P until |x| <= rmax is certified covered.
 
     The strong triangle inequality rho(x, z) <= rho(x, y) (+) rho(y, z), with
@@ -239,18 +239,18 @@ def _fill(P: np.ndarray, delta: float, rmax: float, depth: int = 48) -> np.ndarr
     covers with eps0 = tanh(n atanh(h / 2)).  With d = rho(c, P), a cell is a
     gap if d >= delta (gaps are taken greedily in cell order), covered if
     eps (+) d < delta, i.e. d < (delta - eps) / (1 - delta eps), and else
-    uncertain and halved.  After depth halvings, a cell still uncertain is
-    covered to within delta (+) eps.
+    uncertain and halved.  After _FILL_DEPTH halvings, a cell still
+    uncertain is covered to within delta (+) eps.
     """
     lo, hi = _root_net(P.shape[1], rmax, delta / 2.0)
-    for level in range(depth + 1):
+    for level in range(_FILL_DEPTH + 1):
         C, moves = _cells(lo, hi)
         d = _min_rho(C, P, delta)
         new = _select(C, d, delta)
         P, d = np.concatenate([P, new]), np.minimum(d, _min_rho(C, new, delta))
         eps = np.tanh(np.arctanh(moves).sum(axis=1)) * (1.0 + 1e-9) + 1e-12
         unsure = d >= (delta - eps) / (1.0 - delta * eps)
-        if not unsure.any() or level == depth:
+        if not unsure.any() or level == _FILL_DEPTH:
             return P
         lo, hi = _halve(lo[unsure], hi[unsure])
 
