@@ -133,11 +133,10 @@ class QuadratureRule:
     weight_exponent: float
     points: np.ndarray   # (N, n)
     weights: np.ndarray  # (N,), sums to 1
-    level: int
-    kind: str
-    exactness: dict
-    radial_nodes: np.ndarray | None = None
-    radial_weights: np.ndarray | None = None
+
+
+# Largest polar rule built; 2**24 nodes in R^4 take 512 MB of coordinates.
+MAX_RULE_NODES = 2 ** 24
 
 
 def _radial_rule(n: int, alpha: float, m: int):
@@ -154,55 +153,63 @@ def _radial_rule(n: int, alpha: float, m: int):
     return np.sqrt(u), w
 
 
-def quadrature_build(n: int, weight_exponent: float, level: int = 64,
-                     seed: int = 0) -> QuadratureRule:
+def sphere_rule(n: int, level: int):
+    """Unit directions (N, n) and weights (N,) summing to 1 on S^{n-1}.
+
+    Product rule (Stroud 1971): for n >= 3, level Gauss-Jacobi nodes t with
+    weight (1-t^2)^((n-3)/2) in the last coordinate times the rule of
+    S^{n-2} scaled by sqrt(1-t^2), down to a 2*level-point circle; for
+    n = 2, the 4*level-point circle.  Exact for polynomials of degree
+    <= 2*level - 1; N = 4*level for n = 2 and 2*level^(n-1) for n >= 3.
+    """
+    M = 4 * level if n == 2 else 2 * level
+    theta = 2.0 * np.pi * np.arange(M) / M
+    dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    w = np.full(M, 1.0 / M)
+    for d in range(3, n + 1):
+        t, wt = roots_jacobi(level, (d - 3) / 2.0, (d - 3) / 2.0)
+        st = np.sqrt(1.0 - t**2)
+        dirs = np.concatenate([(st[:, None, None] * dirs[None]).reshape(-1, d - 1),
+                               np.repeat(t, dirs.shape[0])[:, None]], axis=1)
+        w = np.outer(wt / wt.sum(), w).ravel()
+    return dirs, w
+
+
+def _polar(n: int, r, wr, level: int):
+    """Points and weights of radial nodes r (weights wr) times sphere_rule(n, level)."""
+    size = r.size * (4 * level if n == 2 else 2 * level ** (n - 1))
+    if size > MAX_RULE_NODES:
+        raise ParameterError(f"at most {MAX_RULE_NODES} quadrature nodes",
+                             f"a level-{level} rule in R^{n} has {size} nodes")
+    dirs, wd = sphere_rule(n, level)
+    return (r[:, None, None] * dirs[None, :, :]).reshape(-1, n), np.outer(wr, wd).ravel()
+
+
+def ball_rule(center, radius: float, level: int):
+    """Polar rule about center on the Euclidean ball of that radius.
+
+    Gauss-Legendre in r on [0, radius] times sphere_rule; weights
+    n w_r r^(n-1) w_dir integrate against the normalized volume measure.
+    """
+    n = center.shape[0]
+    t, wt = roots_legendre(level)
+    r = radius * (t + 1.0) / 2.0
+    pts, w = _polar(n, r, n * wt * radius / 2.0 * r ** (n - 1), level)
+    return center + pts, w
+
+
+def quadrature_build(n: int, weight_exponent: float, level: int = 64) -> QuadratureRule:
     """Product rule integrating against the normalized weighted volume measure.
 
-    n = 2: Gauss-Jacobi radial x equispaced angles (trig-exact).
-    n = 3: Gauss-Jacobi radial x (Gauss-Legendre in cos(phi) x equispaced).
-    n >= 4: stratified Monte Carlo with the weight folded into the weights.
+    Gauss-Jacobi in r^2 (level nodes) times sphere_rule(n, level), for any
+    n >= 2: 4*level^2 nodes for n = 2 and 2*level^n for n >= 3.
     """
     if weight_exponent <= -1.0:
         raise ParameterError("weight exponent > -1",
                              f"weight exponent {weight_exponent} not integrable")
     alpha = float(weight_exponent)
-    if n == 2:
-        r, wr = _radial_rule(n, alpha, level)
-        M = 4 * level
-        theta = 2.0 * np.pi * np.arange(M) / M
-        circ = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        pts = (r[:, None, None] * circ[None, :, :]).reshape(-1, 2)
-        wts = np.repeat(wr / M, M)
-        exact = {"radial_degree_r2": 2 * level - 1, "angular_trig_degree": M - 1}
-        return QuadratureRule(n, alpha, pts, wts, level, "product", exact, r, wr)
-    if n == 3:
-        r, wr = _radial_rule(n, alpha, level)
-        L = level
-        ct, wt = roots_legendre(L)
-        M = 2 * level
-        theta = 2.0 * np.pi * np.arange(M) / M
-        st = np.sqrt(1.0 - ct**2)
-        dirs = np.stack([
-            np.outer(st, np.cos(theta)).ravel(),
-            np.outer(st, np.sin(theta)).ravel(),
-            np.repeat(ct, M),
-        ], axis=1)
-        dw = np.repeat(wt / 2.0, M) / M
-        pts = (r[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
-        wts = (wr[:, None] * dw[None, :]).ravel()
-        exact = {"radial_degree_r2": 2 * level - 1, "sphere_degree": min(2 * L - 1, M - 1)}
-        return QuadratureRule(n, alpha, pts, wts, level, "product", exact, r, wr)
-    # n >= 4: stratified Monte Carlo against the unweighted uniform measure
-    rng = np.random.default_rng(seed)
-    N = 2000 * level
-    u = (np.arange(N) + rng.uniform(size=N)) / N
-    r = u ** (1.0 / n)
-    dirs = rng.normal(size=(N, n))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    pts = r[:, None] * dirs
-    wts = (1.0 - r**2) ** alpha / (kc.v_alpha(n, alpha) * N)
-    return QuadratureRule(n, alpha, pts, wts, level, "montecarlo",
-                          {"samples": N})
+    r, wr = _radial_rule(n, alpha, level)
+    return QuadratureRule(n, alpha, *_polar(n, r, wr, level))
 
 
 def integrate(rule: QuadratureRule, values) -> float:
@@ -413,18 +420,14 @@ def kernel_norm_scan(alpha: float, p: float, beta: float, radii,
                       float(vals.max() / vals.min()), -c)
 
 
-def _bracket_angular_mean(n: int, sigma: float, q: float) -> float:
-    """Sphere average of [x, y]^(-sigma) over directions at radius product q."""
-    if q == 0.0:
-        return 1.0
-    if n == 2:
-        return float(hyp2f1(sigma / 2.0, sigma / 2.0, 1.0, q * q))
-    if n == 3:
-        if abs(sigma - 2.0) < 1e-12:
-            return float(np.log((1 + q) / (1 - q)) / (2 * q))
-        e = 1.0 - sigma / 2.0
-        return float(((1 + q) ** (2 * e) - (1 - q) ** (2 * e)) / (4 * q * e))
-    raise NotImplementedError("closed angular mean implemented for n in {2,3}")
+def _bracket_angular_mean(n: int, sigma: float, q):
+    """Sphere average of [x, y]^(-sigma) over directions at radius product q.
+
+    Equals 2F1(sigma/2, sigma/2 - nu; n/2; q^2) with nu = (n-2)/2, by the
+    Gegenbauer generating function; q may be an array.
+    """
+    nu = (n - 2) / 2.0
+    return hyp2f1(sigma / 2.0, sigma / 2.0 - nu, n / 2.0, np.square(q))
 
 
 def bracket_integral_scan(beta: float, s_exp: float, radii,
@@ -444,8 +447,7 @@ def bracket_integral_scan(beta: float, s_exp: float, radii,
         m = level
         while True:
             rho, wr = _radial_rule(n, beta, m)
-            means = np.array([_bracket_angular_mean(n, sigma, float(r * t))
-                              for t in rho])
+            means = _bracket_angular_mean(n, sigma, r * rho)
             val = kc.v_alpha(n, beta) * float(np.dot(wr, means))
             if prev is not None and abs(val - prev) <= 1e-8 * abs(val) or m > 16 * level:
                 break

@@ -5,7 +5,8 @@ Subcommands: kernel (eval / norm-scan / bracket-scan), lattice, measure
 schatten / intertwine / bounded), verify.  Reports are JSON, scan tables CSV;
 identical arguments (including --seed) produce byte-identical output.
 
-Exit codes: 0 success, 1 failed verification/audit, 2 invalid parameters.
+Exit codes: 0 success, 1 failed verification/audit, 2 invalid parameters
+or a dimension the command does not implement.
 """
 
 import argparse
@@ -323,6 +324,9 @@ def main(argv=None):
         return 2
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except NotImplementedError as exc:
+        print(f"not implemented: {exc}", file=sys.stderr)
         return 2
 
 

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.special import roots_legendre
 
+from . import calculus as ca
 from . import kernelcore as kc
 
 
@@ -82,36 +82,10 @@ def weighted_ball_volume(alpha: float, ball: PseudoBall, level: int = 48) -> flo
     if alpha <= -1.0:
         raise ValueError("weight exponent must exceed -1")
     n = ball.euclid_center.shape[0]
-    c, re = ball.euclid_center, ball.euclid_radius
-    t, wt = roots_legendre(level)
-    r = re * (t + 1.0) / 2.0
-    wr = wt * re / 2.0
-    if n == 2:
-        M = 4 * level
-        theta = 2.0 * np.pi * np.arange(M) / M
-        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        pts = (c[None, None, :] + r[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
-        w = np.repeat(wr * r * (2.0 * np.pi / M), M)
-        volB = math.pi
-    elif n == 3:
-        ctn, wc = roots_legendre(level)
-        M = 2 * level
-        theta = 2.0 * np.pi * np.arange(M) / M
-        st = np.sqrt(1.0 - ctn**2)
-        dirs = np.stack([
-            np.outer(st, np.cos(theta)).ravel(),
-            np.outer(st, np.sin(theta)).ravel(),
-            np.repeat(ctn, M),
-        ], axis=1)
-        dw = np.repeat(wc, M) * (2.0 * np.pi / M)
-        pts = (c[None, None, :] + r[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
-        w = (wr[:, None] * (r[:, None] ** 2 * dw[None, :])).ravel()
-        volB = 4.0 * math.pi / 3.0
-    else:
-        raise NotImplementedError("ball quadrature implemented for n in {2, 3}")
+    pts, w = ca.ball_rule(ball.euclid_center, ball.euclid_radius, level)
     r2 = np.einsum("ij,ij->i", pts, pts)
     vals = np.where(r2 < 1.0, (1.0 - np.minimum(r2, 1.0)) ** alpha, 0.0)
-    return float(np.dot(w, vals)) / (kc.v_alpha(n, alpha) * volB)
+    return float(np.dot(w, vals)) / kc.v_alpha(n, alpha)
 
 
 # --------------------------------------------------------------------------

@@ -20,6 +20,8 @@ from ._backend import zonal_series
 from .errors import TruncationError
 
 DEFAULT_MAX_TERMS = 100_000
+# Test-only fault injection, read once at import (see gamma_coeffs).
+_FAULT = os.environ.get("BBESOV_FAULT")
 
 _gamma_cache: dict = {}
 _hdim_cache: dict = {}
@@ -83,7 +85,7 @@ def gamma_coeffs(n: int, alpha: float, kmax: int) -> np.ndarray:
     jump; the branch condition is the strict inequality alpha > -(1 + n/2)
     and no smoothing is applied.
     """
-    if os.environ.get("BBESOV_FAULT") == "gamma-shift":
+    if _FAULT == "gamma-shift":
         # Test-only fault injection, equivalent to the documented one-line
         # index-shift mutation (coefficients displaced by one degree).
         return _gamma_array(n, alpha, kmax + 1)[1: kmax + 2].copy()

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from . import calculus as ca
 from . import geometry as ge
@@ -102,40 +101,6 @@ def measure_from_json(text: str) -> Measure:
 # measure of a metric ball
 
 
-def _ball_integral(n: int, ball: ge.PseudoBall, radial_func, level: int = 32) -> float:
-    """Integral of radial_func(|y|) over the Euclidean ball, against dnu."""
-    c, re = ball.euclid_center, ball.euclid_radius
-    t, wt = roots_legendre(level)
-    r = re * (t + 1.0) / 2.0
-    wr = wt * re / 2.0
-    if n == 2:
-        M = 4 * level
-        theta = 2.0 * np.pi * np.arange(M) / M
-        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        pts = (c[None, None, :] + r[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
-        w = np.repeat(wr * r * (2.0 * np.pi / M), M)
-        volB = math.pi
-    elif n == 3:
-        ctn, wc = roots_legendre(level)
-        M = 2 * level
-        theta = 2.0 * np.pi * np.arange(M) / M
-        st = np.sqrt(1.0 - ctn**2)
-        dirs = np.stack([
-            np.outer(st, np.cos(theta)).ravel(),
-            np.outer(st, np.sin(theta)).ravel(),
-            np.repeat(ctn, M),
-        ], axis=1)
-        dw = np.repeat(wc, M) * (2.0 * np.pi / M)
-        pts = (c[None, None, :] + r[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
-        w = (wr[:, None] * (r[:, None] ** 2 * dw[None, :])).ravel()
-        volB = 4.0 * math.pi / 3.0
-    else:
-        raise NotImplementedError("ball quadrature implemented for n in {2, 3}")
-    rr = np.sqrt(np.einsum("ij,ij->i", pts, pts))
-    vals = np.where(rr < 1.0, radial_func(np.minimum(rr, 1.0 - 1e-15)), 0.0)
-    return float(np.dot(w, vals)) / volB
-
-
 def measure_of_pseudoball(mu: Measure, ball: ge.PseudoBall, level: int = 32) -> float:
     """Atomic part exactly, density part by polar quadrature over the ball."""
     total = 0.0
@@ -143,7 +108,10 @@ def measure_of_pseudoball(mu: Measure, ball: ge.PseudoBall, level: int = 32) -> 
         if np.linalg.norm(x - ball.euclid_center) < ball.euclid_radius:
             total += w
     if mu.density is not None:
-        total += _ball_integral(mu.n, ball, mu.density.radial, level)
+        pts, w = ca.ball_rule(ball.euclid_center, ball.euclid_radius, level)
+        rr = np.sqrt(np.einsum("ij,ij->i", pts, pts))
+        vals = np.where(rr < 1.0, mu.density.radial(np.minimum(rr, 1.0 - 1e-15)), 0.0)
+        total += float(np.dot(w, vals))
     return total
 
 
@@ -246,10 +214,9 @@ def berezin_type(mu: Measure, alpha: float, s_exp: float, x,
         total += float(np.sum(wts * ge.bracket_batch(x, Y) ** (-sigma)))
     if mu.density is not None:
         d = mu.density
-        if d.kind == "power-weight" and n in (2, 3):
+        if d.kind == "power-weight":
             rho_nodes, wr = ca._radial_rule(n, d.exponent, level)
-            means = np.array([ca._bracket_angular_mean(n, sigma, float(r * t))
-                              for t in rho_nodes])
+            means = ca._bracket_angular_mean(n, sigma, r * rho_nodes)
             total += d.scale * kc.v_alpha(n, d.exponent) * float(np.dot(wr, means))
         else:
             rule = ca.quadrature_build(n, 0.0, max(level // 4, 32))
@@ -406,7 +373,7 @@ class TransformLpReport:
 
 def transform_lp_norm(field, p: float, beta: float,
                       lattice: ge.Lattice | None = None,
-                      grid_points: int = 400, angles: int = 8) -> TransformLpReport:
+                      grid_points: int = 400) -> TransformLpReport:
     """Horizon-truncated int |field|^p dnu_beta, beta <= -1 allowed.
 
     Realized as the bounded-overlap lattice sum sum_k |field(a_k)|^p
@@ -426,15 +393,9 @@ def transform_lp_norm(field, p: float, beta: float,
     growth = lattice_sum / half if half > 0 else math.inf
     # radial-grid cross-check of the integral against dnu_beta
     r = np.linspace(0.0, lattice.rmax, grid_points + 1)[1:]
-    theta = 2.0 * np.pi * np.arange(angles) / angles
-    if n == 2:
-        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    else:
-        rng = np.random.default_rng(7)
-        dirs = rng.normal(size=(angles, n))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs, wd = ca.sphere_rule(n, 2)
     X = (r[:, None, None] * dirs[None, :, :]).reshape(-1, n)
-    fv = (np.abs(field(X)) ** p).reshape(len(r), angles).mean(axis=1)
+    fv = (np.abs(field(X)) ** p).reshape(len(r), -1) @ wd
     w = (1.0 - r**2) ** beta * r ** (n - 1)
     integral = float(n / kc.v_alpha(n, beta) * np.trapezoid(fv * w, r))
     return TransformLpReport(lattice_sum, integral, lattice.rmax, growth)

@@ -79,8 +79,8 @@ def test_besov_norm_constant_oracle():
 
 def test_quadrature_moments_exact():
     # int |x|^(2k) dnu_w = m_k(w) for the product rules
-    for n in (2, 3):
-        rule = ca.quadrature_build(n, 1.5, 32)
+    for n, level in ((2, 32), (3, 32), (4, 12)):
+        rule = ca.quadrature_build(n, 1.5, level)
         rr2 = np.einsum("ij,ij->i", rule.points, rule.points)
         for k in (1, 3, 10):
             got = float(np.dot(rule.weights, rr2**k))
@@ -92,15 +92,33 @@ def test_quadrature_rejects_bad_weight():
         ca.quadrature_build(2, -1.0, 16)
 
 
+def test_sphere_rule_weights_and_node_counts():
+    for n in (2, 3, 4, 5):
+        for level in (1, 2, 7, 12):
+            dirs, w = ca.sphere_rule(n, level)
+            assert dirs.shape == (w.size, n)
+            assert abs(w.sum() - 1.0) <= 1e-14
+            assert np.allclose(np.einsum("ij,ij->i", dirs, dirs), 1.0, atol=1e-15)
+    for level in (4, 9):
+        assert ca.quadrature_build(2, 0.5, level).weights.size == 4 * level**2
+        assert ca.quadrature_build(3, 0.5, level).weights.size == 2 * level**3
+
+
+def test_quadrature_refuses_oversized_rule():
+    # 2 * 64^4 nodes exceed MAX_RULE_NODES; refused before anything is built
+    with pytest.raises(ParameterError, match="33554432 nodes"):
+        ca.quadrature_build(4, 0.0, 64)
+
+
 def test_inner_product_closed_vs_quadrature():
     rng = np.random.default_rng(12)
-    for n in (2, 3):
+    for n, level in ((2, 64), (3, 64), (4, 12)):
         f = ca.random_polynomial(n, 5, 21)
         g = ca.random_polynomial(n, 5, 22)
         alpha, s, u = 0.5, 1.25, 0.75
         closed = ca.inner_product_u_closed(alpha, s, u, f, g)
         quad = ca.inner_product_u(alpha, s, u, f, g,
-                                  ca.quadrature_build(n, alpha + 2 * u, 64))
+                                  ca.quadrature_build(n, alpha + 2 * u, level))
         assert quad == pytest.approx(closed, rel=1e-10)
 
 
@@ -153,16 +171,22 @@ def test_bracket_scan_regimes_light():
 
 @pytest.mark.parametrize("sigma", [0.5, 2.0, 3.0, 4.5])
 def test_bracket_angular_mean_n3_mpmath(sigma):
-    # sphere average of [x, y]^(-sigma) in R^3: t = cos(angle) is uniform
-    # on [-1, 1], so the mean is (1/2) int_{-1}^{1} (1 - 2qt + q^2)^(-sigma/2) dt
+    # sphere average of [x, y]^(-sigma) in R^n: t = cos(angle) has density
+    # proportional to (1 - t^2)^((n-3)/2) on [-1, 1] (uniform for n = 3), so
+    # the mean is int (1 - 2qt + q^2)^(-sigma/2) (1 - t^2)^((n-3)/2) dt over
+    # int (1 - t^2)^((n-3)/2) dt
     import mpmath
     with mpmath.workdps(30):
-        for q in (0.05, 0.3, 0.7, 0.95):
-            qm = mpmath.mpf(q)
-            want = mpmath.quad(lambda t: (1 - 2 * qm * t + qm**2) ** (-sigma / 2),
-                               [-1, 0, 1]) / 2
-            got = ca._bracket_angular_mean(3, sigma, q)
-            assert got == pytest.approx(float(want), rel=1e-12)
+        for n in (3, 4):
+            e = mpmath.mpf(n - 3) / 2
+            norm = mpmath.quad(lambda t: (1 - t**2) ** e, [-1, 1])
+            for q in (0.05, 0.3, 0.7, 0.95):
+                qm = mpmath.mpf(q)
+                want = mpmath.quad(
+                    lambda t: (1 - 2 * qm * t + qm**2) ** (-sigma / 2) * (1 - t**2) ** e,
+                    [-1, 0, 1]) / norm
+                got = ca._bracket_angular_mean(n, sigma, q)
+                assert got == pytest.approx(float(want), rel=1e-12)
 
 
 def test_bracket_scan_n3_positive():

@@ -77,6 +77,15 @@ def test_lattice_bad_delta_exit2(capsys):
     assert "[violates Lemma 2.5]" in err
 
 
+def test_unimplemented_dimension_exit2(capsys):
+    # exit 1 means a failed verification, so an unsupported n must not use it
+    code, out, err = run(capsys, ["lattice", "--n", "4", "--delta", "0.5",
+                                  "--horizon", "0.6"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("not implemented:") and err.count("\n") == 1
+
+
 def test_measure_averaging_volume_is_one(capsys, tmp_path):
     path = write_measure(tmp_path, me.nu_alpha_measure(2, 0.5))
     code, out, _ = run(capsys, ["measure", "averaging", "--file", path,

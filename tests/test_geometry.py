@@ -67,10 +67,10 @@ def test_pseudoball_is_metric_ball():
 def test_weighted_ball_volume_alpha0_oracle():
     # alpha = 0: nu(E) equals the Euclidean volume ratio exactly
     rng = np.random.default_rng(24)
-    for n in (2, 3):
+    for n, level in ((2, 48), (3, 48), (4, 12)):
         x = _pt(rng, n, 0.8)
         ball = ge.pseudoball(x, 0.5)
-        got = ge.weighted_ball_volume(0.0, ball)
+        got = ge.weighted_ball_volume(0.0, ball, level)
         assert got == pytest.approx(ball.euclid_radius**n, rel=1e-10)
 
 
