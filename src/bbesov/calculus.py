@@ -73,15 +73,6 @@ def dts_apply(s: float, t: float, f: HarmonicPolynomial) -> HarmonicPolynomial:
     return f.scaled({k: num[k] / den[k] for k in f.parts})
 
 
-def its_apply(s: float, t: float, f: HarmonicPolynomial, x) -> float:
-    """(1-|x|^2)^t times the degree-rescaled polynomial at x (|x| < 1)."""
-    x = np.asarray(x, dtype=np.float64)
-    r2 = float(np.dot(x, x))
-    if r2 >= 1.0:
-        raise ValueError("point must lie in the open unit ball")
-    return (1.0 - r2) ** t * evaluate(dts_apply(s, t, f), x)
-
-
 def random_polynomial(n: int, max_degree: int, seed: int) -> HarmonicPolynomial:
     """Reproducible random combination of zonal atoms (normal coefficients)."""
     rng = np.random.default_rng(seed)
@@ -219,20 +210,6 @@ def integrate(rule: QuadratureRule, values) -> float:
     return float(np.dot(rule.weights, values))
 
 
-def integrate_adaptive(n: int, weight_exponent: float, func, level: int = 64,
-                       rtol: float = 1e-9, max_doublings: int = 4) -> float:
-    """Self-checking integral: level doubles until successive values agree."""
-    prev = None
-    for _ in range(max_doublings + 1):
-        rule = quadrature_build(n, weight_exponent, level)
-        val = integrate(rule, func)
-        if prev is not None and abs(val - prev) <= rtol * max(1.0, abs(val)):
-            return val
-        prev = val
-        level *= 2
-    return prev
-
-
 # --------------------------------------------------------------------------
 # norms, inner products, projection
 
@@ -344,19 +321,29 @@ class ScanResult:
     predicted_exponent: float
 
 
-def _kernel_power_integral_p2(n: int, alpha: float, beta: float, r: float) -> float:
-    """Exact series for int |R_alpha(x, .)|^2 (1-|y|^2)^beta dnu, |x| = r."""
-    # choose truncation from the plain-kernel planner at q = r (terms decay
+def _kernel_power_integral_p2(n: int, alpha: float, beta: float, r):
+    """Exact series for int |R_alpha(x, .)|^2 (1-|y|^2)^beta dnu, |x| = r.
+
+    r is a scalar (float result) or an array of radii (array result), with
+    one truncation planned at the largest radius.
+    """
+    r = np.asarray(r, dtype=np.float64)
+    rmax = float(r.max(initial=0.0))
+    # choose truncation from the plain-kernel planner at q = max r (terms decay
     # at least as fast once multiplied by the moment ratio, which is <= 1)
-    K = kc.plan_terms(n, alpha, r * r, 1e-14) + 16
+    K = kc.plan_terms(n, alpha, rmax * rmax, 1e-14) + 16
     gam = kc.gamma_coeffs(n, alpha, K)
     h = kc.hdim_coeffs(n, K)
     ks = np.arange(K + 1)
     # radial moments m_k(beta) via cumulative ratio (n/2 + k)/(n/2 + beta + 1 + k)
     ratios = (n / 2.0 + ks) / (n / 2.0 + beta + 1.0 + ks)
     m = np.concatenate(([1.0], np.cumprod(ratios[:-1])))
-    terms = gam**2 * h * r ** (2 * ks) * m
-    return kc.v_alpha(n, beta) * float(terms.sum())
+    rows = np.atleast_1d(r)
+    # blocks of 256 radii keep the (radii x terms) table small
+    sums = [(gam**2 * h * rb[:, None] ** (2 * ks) * m).sum(axis=-1)
+            for rb in np.split(rows, range(256, rows.size, 256))]
+    out = kc.v_alpha(n, beta) * np.concatenate(sums)
+    return float(out[0]) if r.ndim == 0 else out
 
 
 def _kernel_power_integral_fft(n: int, alpha: float, p: float, beta: float,

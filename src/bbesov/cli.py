@@ -137,9 +137,8 @@ def cmd_measure(args):
         for r in radii:
             for j in range(args.angles):
                 th = 2.0 * np.pi * j / args.angles
-                x = r * np.array([np.cos(th), np.sin(th)])
-                if mu.n == 3:
-                    x = np.array([x[0], x[1], 0.0])
+                x = np.zeros(mu.n)
+                x[:2] = r * np.array([np.cos(th), np.sin(th)])
                 val = me.averaging(mu, args.alpha, args.delta, x, args.level)
                 lines.append(f"{_fmt(r)},{_fmt(th)},{_fmt(val)}")
         _emit(args, "\n".join(lines))

@@ -219,22 +219,30 @@ def kernel_eval(n: int, alpha: float, x, y, tol: float = 1e-12,
 
 def kernel_eval_batch(n: int, alpha: float, x, Y, tol: float = 1e-12,
                       max_terms: int = DEFAULT_MAX_TERMS) -> np.ndarray:
-    """R_alpha(x, y_i) for an (N, n) array of points, one shared truncation."""
+    """R_alpha(x, y_j) for an (M, n) array Y, one shared truncation.
+
+    x of shape (n,) gives shape (M,); x of shape (N, n) gives (N, M), with
+    the truncation planned at the largest |x_i||y_j|.
+    """
     x = np.asarray(x, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
-    nx2 = float(np.dot(x, x))
     ny2 = np.einsum("ij,ij->i", Y, Y)
-    qmax = math.sqrt(nx2 * float(ny2.max(initial=0.0)))
+    if x.ndim == 2:
+        nx2 = np.einsum("ij,ij->i", x, x)[:, None]
+        w = x @ Y.T
+    else:
+        nx2 = float(np.dot(x, x))
+        w = Y @ x
+    qmax = math.sqrt(float(np.max(nx2, initial=0.0)) * float(ny2.max(initial=0.0)))
     if qmax >= 1.0:
         raise ValueError("points must lie in the open unit ball")
     if qmax == 0.0:
-        return np.ones(Y.shape[0])
+        return np.ones(w.shape)
     K = plan_terms(n, alpha, qmax, tol, max_terms)
     coeffs = gamma_coeffs(n, alpha, K - 1)
-    w = Y @ x
     a2 = nx2 * ny2
     nu = (n - 2) / 2.0
-    return zonal_series(coeffs, nu, w, a2)
+    return zonal_series(coeffs, nu, w.ravel(), a2.ravel()).reshape(w.shape)
 
 
 def kernel_diag(n: int, alpha: float, r2: np.ndarray, tol: float = 1e-12,

@@ -130,20 +130,25 @@ def averaging(mu: Measure, alpha: float, delta: float, x, level: int = 32) -> fl
 
 
 def berezin2(mu: Measure, Phi: float, alpha: float, x,
-             tol: float = 1e-12, level: int = 64) -> float:
-    """Squared-kernel transform, normalized by the kernel diagonal."""
+             tol: float = 1e-12, level: int = 64):
+    """Squared-kernel transform, normalized by the kernel diagonal.
+
+    x of shape (n,) gives a float; x of shape (N, n) gives an (N,) array,
+    each kernel series truncated once for all rows.
+    """
     if Phi <= -1.0:
         raise ParameterError("Phi > -1", f"Phi = {Phi}")
     x = np.asarray(x, dtype=np.float64)
-    r2 = float(np.dot(x, x))
-    norm = float(kc.kernel_diag(mu.n, Phi, np.array([r2]), tol)[0])
-    total = 0.0
+    X = np.atleast_2d(x)
+    r2 = np.einsum("ij,ij->i", X, X)
+    norm = kc.kernel_diag(mu.n, Phi, r2, tol)
+    total = np.zeros(X.shape[0])
     if mu.atoms:
         Y = np.array([a for a, _ in mu.atoms])
         wts = np.array([w for _, w in mu.atoms])
-        kv = kc.kernel_eval_batch(mu.n, Phi, x, Y, tol)
+        kv = kc.kernel_eval_batch(mu.n, Phi, X, Y, tol)
         oy = 1.0 - np.einsum("ij,ij->i", Y, Y)
-        total += float(np.sum(wts * kv**2 * oy ** (Phi - alpha)))
+        total += (kv**2) @ (wts * oy ** (Phi - alpha))
     if mu.density is not None:
         d = mu.density
         if d.kind == "power-weight":
@@ -152,23 +157,16 @@ def berezin2(mu: Measure, Phi: float, alpha: float, x,
                 raise ParameterError("Phi - alpha + c > -1",
                                      f"density weight {w} not integrable")
             total += d.scale * ca._kernel_power_integral_p2(
-                mu.n, Phi, w, math.sqrt(r2))
+                mu.n, Phi, w, np.sqrt(r2))
         else:
             rule = ca.quadrature_build(mu.n, 0.0, level)
             rr = np.sqrt(np.einsum("ij,ij->i", rule.points, rule.points))
-            kv = kc.kernel_eval_batch(mu.n, Phi, x, rule.points, tol)
-            total += float(np.dot(rule.weights,
-                                  kv**2 * (1 - rr**2) ** (Phi - alpha) * d.radial(rr)))
-    return total / norm
-
-
-def berezin2_normalizer_quadrature(n: int, Phi: float, x, level: int = 96,
-                                   tol: float = 1e-12) -> float:
-    """Quadrature cross-check of the kernel-diagonal normalizer."""
-    rule = ca.quadrature_build(n, Phi, level)
-    kv = kc.kernel_eval_batch(n, Phi, np.asarray(x, dtype=np.float64),
-                              rule.points, tol)
-    return float(np.dot(rule.weights, kv**2))
+            wd = rule.weights * (1 - rr**2) ** (Phi - alpha) * d.radial(rr)
+            for i, xi in enumerate(X):
+                total[i] += float(np.dot(
+                    wd, kc.kernel_eval_batch(mu.n, Phi, xi, rule.points, tol) ** 2))
+    out = total / norm
+    return float(out[0]) if x.ndim == 1 else out
 
 
 def berezin_t(mu: Measure, alpha: float, t_exp: float, x,

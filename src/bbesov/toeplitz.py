@@ -160,8 +160,9 @@ def _deriv_basis(spec: BasisSpec, basis):
 def toeplitz_matrix(mu: me.Measure, spec: BasisSpec, level: int = 64) -> OperatorMatrix:
     """Quadratic-form matrix of the operator attached to mu.
 
-    Atomic part summed exactly; density part integrated by the product
-    quadrature rule at the combined weight 2u + c.
+    Atomic part summed exactly; a power-weight density is degree-diagonal
+    in closed form (radial_oracle); a tabulated density is integrated by
+    the product quadrature rule at weight 2u.
     """
     spec.validate()
     if mu.n != spec.n:
@@ -180,14 +181,7 @@ def toeplitz_matrix(mu: me.Measure, spec: BasisSpec, level: int = 64) -> Operato
     d = mu.density
     if d is not None:
         if d.kind == "power-weight":
-            w_exp = 2.0 * u + d.exponent
-            if w_exp <= -1.0:
-                raise ParameterError("2u + c > -1",
-                                     f"combined density weight {w_exp}")
-            rule = ca.quadrature_build(spec.n, w_exp, level)
-            E = np.stack([ca.evaluate_batch(db, rule.points) for db in dbasis])
-            scale = d.scale * kc.v_alpha(spec.n, w_exp)
-            M += scale * (E * rule.weights[None, :]) @ E.T
+            M += np.diag(radial_oracle(me.Measure(spec.n, [], d), spec))
         else:
             w_exp = 2.0 * u
             if w_exp <= -1.0:
@@ -228,54 +222,62 @@ def spectrum(M: OperatorMatrix, p_list=(1.0, 2.0)) -> SpectrumReport:
 
 
 def _pseudo_atoms(mu: me.Measure, level: int = 32):
-    """Atoms plus a quadrature discretization of the density part."""
+    """Atoms plus a quadrature discretization of a tabulated density."""
     pts = [x for x, _ in mu.atoms]
     wts = [w for _, w in mu.atoms]
     d = mu.density
-    if d is not None:
-        if d.kind == "power-weight":
-            rule = ca.quadrature_build(mu.n, d.exponent, level)
-            pts.extend(rule.points)
-            wts.extend(d.scale * kc.v_alpha(mu.n, d.exponent) * rule.weights)
-        else:
-            rule = ca.quadrature_build(mu.n, 0.0, level)
-            rr = np.sqrt(np.einsum("ij,ij->i", rule.points, rule.points))
-            pts.extend(rule.points)
-            wts.extend(rule.weights * d.radial(rr))
-    return np.array(pts), np.array(wts)
+    if d is not None and d.kind != "power-weight":
+        rule = ca.quadrature_build(mu.n, 0.0, level)
+        rr = np.sqrt(np.einsum("ij,ij->i", rule.points, rule.points))
+        pts.extend(rule.points)
+        wts.extend(rule.weights * d.radial(rr))
+    return np.array(pts).reshape(-1, mu.n), np.array(wts)
 
 
-def _kernel_section_coords(w_kernel: float, Y: np.ndarray, spec: BasisSpec,
-                           basis, degrees):
-    """Coordinates of truncated kernel sections R_w(., y_a) in the basis.
+def _section_operator(mu: me.Measure, spec: BasisSpec, t: float,
+                      shifted: bool, level: int) -> np.ndarray:
+    """Shared body of the two integral-operator matrices.
 
-    The degree-k part of a section is the zonal atom
-    (gamma_k(w) |y|^k, y/|y|); coordinates are closed-form pairings.
+    By the reproducing property, the coordinate on e_i (degree k) of the
+    truncated kernel section R_w(., y) is
+    (V_Phi/V_alpha) (gamma_k(s+u)/gamma_k(s))^2 m_k(Phi) gamma_k(w) e_i(y),
+    so atoms need only basis values.  A power-weight density scale
+    (1-|y|^2)^c dnu is degree-diagonal: (V_alpha/V_{s+t}) scale V_w
+    gamma_k(s+t) m_k(w), with w = c + s - alpha + t for mu and w = c for
+    kappa, whose exponent already carries the reweighting.
     """
-    n = spec.n
-    m = len(basis)
-    A = np.zeros((m, Y.shape[0]))
-    kmax = spec.max_degree
-    gam = kc.gamma_coeffs(n, w_kernel, kmax)
-    for a in range(Y.shape[0]):
-        y = Y[a]
-        ry = float(np.linalg.norm(y))
-        if ry == 0.0:
-            sec = ca.HarmonicPolynomial(n, {0: [(gam[0], _unit(n))]})
-        else:
-            yh = y / ry
-            sec = ca.HarmonicPolynomial(
-                n, {k: [(float(gam[k] * ry**k), yh)] for k in range(kmax + 1)})
-        for i, (e, k) in enumerate(zip(basis, degrees)):
-            A[i, a] = ca.inner_product_u_closed(spec.alpha, spec.s, spec.u,
-                                                sec, e)
-    return A
-
-
-def _unit(n):
-    e = np.zeros(n)
-    e[0] = 1.0
-    return e
+    basis, degrees = basis_build(spec)
+    n, kmax = spec.n, spec.max_degree
+    gam_s = kc.gamma_coeffs(n, spec.s, kmax)
+    gam_st = kc.gamma_coeffs(n, spec.s + t, kmax)
+    gam_su = kc.gamma_coeffs(n, spec.s + spec.u, kmax)
+    if shifted:
+        # order zero with kernel R_{s+t}: no column rescaling, no reweighting
+        gam_w, col, exponent = gam_st, np.ones(kmax + 1), 0.0
+    else:
+        # order t with kernel R_s: columns rescaled by D = dts_apply(s, t)
+        gam_w, col, exponent = gam_s, gam_st / gam_s, spec.s - spec.alpha + t
+    pref = kc.v_alpha(n, spec.alpha) / kc.v_alpha(n, spec.s + t)
+    moments = np.array([ca.radial_moment(n, spec.Phi, k) for k in range(kmax + 1)])
+    sec = (kc.v_alpha(n, spec.Phi) / kc.v_alpha(n, spec.alpha)
+           * (gam_su / gam_s) ** 2 * moments * gam_w)
+    deg = np.array(degrees)
+    M = np.zeros((len(basis), len(basis)))
+    Y, wts = _pseudo_atoms(mu, level)
+    if Y.size:
+        E = np.stack([ca.evaluate_batch(e, Y) for e in basis])  # (m, A)
+        oy = 1.0 - np.einsum("ij,ij->i", Y, Y)
+        A = sec[deg][:, None] * E
+        C = col[deg][:, None] * E * (wts * oy ** exponent)[None, :]
+        M += pref * (A @ C.T)
+    d = mu.density
+    if d is not None and d.kind == "power-weight":
+        w = d.exponent + exponent
+        if w <= -1.0:
+            raise ParameterError("c + s + t - alpha > -1", f"combined weight {w}")
+        M += np.diag([pref * d.scale * kc.v_alpha(n, w) * gam_st[k]
+                      * ca.radial_moment(n, w, k) for k in degrees])
+    return M
 
 
 def integral_operator_matrix(mu: me.Measure, spec: BasisSpec, t: float,
@@ -283,40 +285,20 @@ def integral_operator_matrix(mu: me.Measure, spec: BasisSpec, t: float,
     """Matrix of the order-t integral operator attached to mu.
 
     Column j holds the basis coordinates of the image of e_j:
-    (V_alpha / V_{s+t}) sum_a w_a (1-|y_a|^2)^{s-alpha+t} (D e_j)(y_a)
-    R_s(., y_a), with kernel sections truncated at the basis degree.
+    (V_alpha / V_{s+t}) int (1-|y|^2)^{s-alpha+t} (D e_j)(y) R_s(., y) dmu,
+    with kernel sections truncated at the basis degree.
     """
-    spec.validate()
-    basis, degrees = basis_build(spec)
-    Y, wts = _pseudo_atoms(mu, level)
-    if Y.size == 0:
-        return np.zeros((len(basis), len(basis)))
-    oy = 1.0 - np.einsum("ij,ij->i", Y, Y)
-    pref = kc.v_alpha(spec.n, spec.alpha) / kc.v_alpha(spec.n, spec.s + t)
-    dts = [ca.dts_apply(spec.s, t, e) for e in basis]
-    B = np.stack([ca.evaluate_batch(de, Y) for de in dts])  # (m, A)
-    C = B * (wts * oy ** (spec.s - spec.alpha + t))[None, :]
-    A = _kernel_section_coords(spec.s, Y, spec, basis, degrees)
-    return pref * (A @ C.T)
+    return _section_operator(mu, spec, t, False, level)
 
 
 def shifted_operator_matrix(kappa: me.Measure, spec: BasisSpec, t: float,
                             level: int = 32) -> np.ndarray:
     """Matrix of the order-zero operator with the shifted kernel.
 
-    Column j: (V_alpha / V_{s+t}) sum_a w'_a e_j(y_a) R_{s+t}(., y_a),
-    weights w'_a already carrying the kappa reweighting.
+    Column j: (V_alpha / V_{s+t}) int e_j(y) R_{s+t}(., y) dkappa, kappa
+    already carrying the reweighting.
     """
-    spec.validate()
-    basis, degrees = basis_build(spec)
-    Y, wts = _pseudo_atoms(kappa, level)
-    if Y.size == 0:
-        return np.zeros((len(basis), len(basis)))
-    pref = kc.v_alpha(spec.n, spec.alpha) / kc.v_alpha(spec.n, spec.s + t)
-    B = np.stack([ca.evaluate_batch(e, Y) for e in basis])
-    C = B * wts[None, :]
-    A = _kernel_section_coords(spec.s + t, Y, spec, basis, degrees)
-    return pref * (A @ C.T)
+    return _section_operator(kappa, spec, t, True, level)
 
 
 @dataclass
@@ -385,7 +367,7 @@ def trace_vs_berezin(mu: me.Measure, spec: BasisSpec, lattice: ge.Lattice,
     tr = float(np.trace(M.entries))
 
     def fld(X):
-        return np.array([me.berezin2(mu, spec.Phi, spec.alpha, x) for x in X])
+        return me.berezin2(mu, spec.Phi, spec.alpha, X)
 
     rep = me.transform_lp_norm(fld, 1.0, -spec.n, lattice, grid_points)
     integral = rep.radial_integral
@@ -427,7 +409,7 @@ def schatten_diagnostic(mu: me.Measure, spec: BasisSpec, p: float,
     rel = abs(ladder[-1] - ladder[-2]) / max(ladder[-1], 1e-300)
 
     def fld(X):
-        return np.array([me.berezin2(mu, spec.Phi, spec.alpha, x) for x in X])
+        return me.berezin2(mu, spec.Phi, spec.alpha, X)
 
     ber = me.transform_lp_norm(fld, p, -spec.n, lattice)
     hats = np.array([me.averaging(mu, spec.alpha, lattice.delta, a)

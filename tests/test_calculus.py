@@ -195,13 +195,6 @@ def test_bracket_scan_n3_positive():
     assert res.slope == pytest.approx(-1.0, rel=0.1)
 
 
-def test_integrate_adaptive_doubles_until_stable():
-    val = ca.integrate_adaptive(2, 0.0, lambda X: np.exp(X[:, 0]), level=16)
-    # int_B exp(x_1) dnu for n=2 equals 2 I_1(1) / 1  (Bessel); oracle value
-    from scipy.special import iv
-    assert val == pytest.approx(2.0 * iv(1, 1.0), rel=1e-9)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.floats(-1.5, 2.5), st.floats(-1.0, 1.5), st.integers(0, 12))
 def test_dts_scaling_property(s, t, k):

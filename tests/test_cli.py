@@ -99,6 +99,20 @@ def test_measure_averaging_volume_is_one(capsys, tmp_path):
         assert float(ln.split(",")[2]) == pytest.approx(1.0, rel=1e-9)
 
 
+def test_measure_averaging_n4(capsys, tmp_path):
+    mu = me.Measure(4, [(np.array([0.1, 0.0, 0.2, -0.1]), 0.5)],
+                    me.Density("power-weight", 0.5, 1.0))
+    path = write_measure(tmp_path, mu)
+    code, out, _ = run(capsys, ["measure", "averaging", "--file", path,
+                                "--alpha", "0", "--delta", "0.5",
+                                "--radii", "0.3", "--angles", "1",
+                                "--level", "12"])
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 2
+    assert np.isfinite(float(lines[1].split(",")[2]))
+
+
 def test_measure_berezin_atom_at_origin(capsys, tmp_path):
     mu = me.Measure(2, [(np.zeros(2), 0.8)], None)
     path = write_measure(tmp_path, mu)

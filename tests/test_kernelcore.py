@@ -196,6 +196,14 @@ def test_kernel_eval_batch_matches_scalar():
     for i in range(0, 25, 7):
         assert vals[i] == pytest.approx(
             kc.kernel_eval(3, 0.7, x, Y[i], tol=1e-13).value, rel=1e-10)
+    # an (N, n) x gives the (N, M) matrix, rows as for each x alone
+    X = np.vstack([x, np.zeros(3), rng.uniform(-0.5, 0.5, (3, 3))])
+    mat = kc.kernel_eval_batch(3, 0.7, X, Y, tol=1e-12)
+    assert mat.shape == (5, 25)
+    assert np.array_equal(mat[1], np.ones(25))
+    for i, xi in enumerate(X):
+        row = kc.kernel_eval_batch(3, 0.7, xi, Y, tol=1e-12)
+        assert np.allclose(mat[i], row, rtol=1e-12, atol=1e-12)
 
 
 def test_backend_fallback_agrees():

@@ -83,13 +83,42 @@ def test_berezin2_atom_at_origin():
     assert me.berezin2(mu, 2.0, 0.0, np.zeros(2)) == pytest.approx(0.37)
 
 
+def berezin2_normalizer_quadrature(n, Phi, x, level):
+    """Quadrature oracle for the kernel diagonal: int R_Phi(x, .)^2 dnu_Phi."""
+    rule = ca.quadrature_build(n, Phi, level)
+    kv = kc.kernel_eval_batch(n, Phi, x, rule.points, 1e-12)
+    return float(np.dot(rule.weights, kv**2))
+
+
 def test_berezin2_normalizer_cross_check():
     for n, Phi in ((2, 1.0), (3, 0.5)):
         x = np.zeros(n)
         x[0] = 0.5
-        quad = me.berezin2_normalizer_quadrature(n, Phi, x, level=96)
+        quad = berezin2_normalizer_quadrature(n, Phi, x, level=96)
         diag = float(kc.kernel_diag(n, Phi, np.array([0.25]))[0])
         assert quad == pytest.approx(diag, rel=1e-8)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_berezin2_array_matches_per_point(n):
+    rng = np.random.default_rng(33)
+    X = rng.uniform(-0.6, 0.6, (9, n))
+    X[0] = 0.0
+    atoms = atoms_measure(n, seed=34).atoms
+    densities = {
+        "atoms": None,
+        "power-weight": me.Density("power-weight", 0.5, 0.7),
+        "tabulated": me.Density("tabulated-radial", 0.0, 1.0,
+                                np.linspace(0.0, 1.0, 11),
+                                np.linspace(1.0, 2.0, 11)),
+    }
+    for name, d in densities.items():
+        mu = me.Measure(n, atoms if d is None else atoms[:2], d)
+        level = 16 if name == "tabulated" else 64
+        got = me.berezin2(mu, 1.5, 0.5, X, level=level)
+        assert got.shape == (X.shape[0],)
+        ref = np.array([me.berezin2(mu, 1.5, 0.5, x, level=level) for x in X])
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12, name
 
 
 def test_berezin2_weight_flag():

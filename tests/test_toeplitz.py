@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bbesov import calculus as ca
 from bbesov import kernelcore as kc
 from bbesov import measures as me
 from bbesov import toeplitz as tp
@@ -196,3 +197,100 @@ def test_boundedness_estimate_parameter_flags():
     mu = me.nu_alpha_measure(2, 0.5)
     with pytest.raises(ParameterError, match=r"Eq\. \(1\.4\)"):
         tp.boundedness_estimate(mu, 2.0, -3.0, 2.0, 0.5, 1.0, 0.0, trials=2)
+
+
+def _mixed_measure(n, seed, density=True):
+    # atoms, one at the origin, plus an optional power-weight density
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-0.45, 0.45, (4, n))
+    pts[0] = 0.0
+    d = me.Density("power-weight", 0.5, 0.7) if density else None
+    return me.Measure(n, list(zip(pts, rng.uniform(0.3, 1.0, 4))), d)
+
+
+def _section_pairing_matrix(mu, sp, t, shifted):
+    """Integral-operator matrix of an atomic measure, with kernel-section
+    coordinates from one closed-form pairing per (atom, basis element)."""
+    basis, _ = tp.basis_build(sp)
+    Y = np.array([x for x, _ in mu.atoms])
+    wts = np.array([w for _, w in mu.atoms])
+    w_kernel = sp.s + t if shifted else sp.s
+    gam = kc.gamma_coeffs(sp.n, w_kernel, sp.max_degree)
+    A = np.zeros((len(basis), len(Y)))
+    for a, y in enumerate(Y):
+        ry = float(np.linalg.norm(y))
+        if ry == 0.0:
+            sec = ca.constant_poly(sp.n, gam[0])
+        else:
+            sec = ca.HarmonicPolynomial(sp.n, {
+                k: [(float(gam[k] * ry**k), y / ry)]
+                for k in range(sp.max_degree + 1)})
+        for i, e in enumerate(basis):
+            A[i, a] = ca.inner_product_u_closed(sp.alpha, sp.s, sp.u, sec, e)
+    if shifted:
+        B = np.stack([ca.evaluate_batch(e, Y) for e in basis])
+    else:
+        oy = 1.0 - np.einsum("ij,ij->i", Y, Y)
+        wts = wts * oy ** (sp.s - sp.alpha + t)
+        B = np.stack([ca.evaluate_batch(ca.dts_apply(sp.s, t, e), Y)
+                      for e in basis])
+    pref = kc.v_alpha(sp.n, sp.alpha) / kc.v_alpha(sp.n, sp.s + t)
+    return pref * (A @ (B * wts[None, :]).T)
+
+
+@pytest.mark.parametrize("n,K", [(2, 6), (3, 4)])
+def test_kernel_section_coords_match_pairing(n, K):
+    mu = _mixed_measure(n, 50, density=False)
+    sp = tp.BasisSpec(n, 0.5, 1.0, K)
+    t = 0.75
+    kappa = me.kappa_from_mu(mu, sp.s, t, sp.alpha)
+    for got, ref in (
+            (tp.integral_operator_matrix(mu, sp, t),
+             _section_pairing_matrix(mu, sp, t, False)),
+            (tp.shifted_operator_matrix(kappa, sp, t),
+             _section_pairing_matrix(kappa, sp, t, True))):
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n,K,level", [(2, 6, 64), (3, 4, 24)])
+def test_toeplitz_power_weight_density_matches_quadrature(n, K, level):
+    mu = _mixed_measure(n, 51)
+    sp = tp.BasisSpec(n, 0.5, 1.25, K)
+    d = mu.density
+    w = 2.0 * sp.u + d.exponent
+    basis, _ = tp.basis_build(sp)
+    rule = ca.quadrature_build(n, w, level)
+    E = np.stack([ca.evaluate_batch(ca.dts_apply(sp.s, sp.u, e), rule.points)
+                  for e in basis])
+    ref = d.scale * kc.v_alpha(n, w) * (E * rule.weights[None, :]) @ E.T
+    atoms_only = me.Measure(n, mu.atoms, None)
+    ref += tp.toeplitz_matrix(atoms_only, sp).entries
+    got = tp.toeplitz_matrix(mu, sp).entries
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_operator_density_terms_match_quadrature():
+    # alpha = 0, s = 1, t = 0.5: the reweighting (1-|y|^2)^1.5 is not
+    # polynomial, so the closed form is checked against a fine rule
+    sp = tp.BasisSpec(2, 0.0, 1.0, 6)
+    t = 0.5
+    d = me.Density("power-weight", 0.5, 0.7)
+    mu = me.Measure(2, [], d)
+    kappa = me.kappa_from_mu(mu, sp.s, t, sp.alpha)
+    for meas, build in ((mu, tp.integral_operator_matrix),
+                        (kappa, tp.shifted_operator_matrix)):
+        dd = meas.density
+        rule = ca.quadrature_build(2, dd.exponent, 96)
+        nodes = me.Measure(2, list(zip(
+            rule.points, dd.scale * kc.v_alpha(2, dd.exponent) * rule.weights)))
+        ref = build(nodes, sp, t)
+        got = build(meas, sp, t)
+        assert np.max(np.abs(got - ref)) <= 1e-10
+
+
+@pytest.mark.parametrize("n,K", [(2, 8), (3, 4)])
+def test_intertwine_atoms_and_power_weight(n, K):
+    mu = _mixed_measure(n, 52)
+    sp = tp.BasisSpec(n, 0.0, 1.0, K)
+    for t in (0.5, 1.25):
+        assert tp.intertwine_check(mu, sp, t).residual <= 1e-12
