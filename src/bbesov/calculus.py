@@ -321,11 +321,20 @@ class ScanResult:
     predicted_exponent: float
 
 
-def _kernel_power_integral_p2(n: int, alpha: float, beta: float, r):
-    """Exact series for int |R_alpha(x, .)|^2 (1-|y|^2)^beta dnu, |x| = r.
+def radial_moments(n: int, w: float, K: int) -> np.ndarray:
+    """radial_moment(n, w, k) for k = 0..K, as a cumulative product of the
+    ratios (n/2 + k)/(n/2 + w + 1 + k), which stays finite for large K."""
+    ks = np.arange(K)
+    return np.concatenate(([1.0], np.cumprod((n / 2.0 + ks) / (n / 2.0 + w + 1.0 + ks))))
 
-    r is a scalar (float result) or an array of radii (array result), with
-    one truncation planned at the largest radius.
+
+def _kernel_power_integral_p2(n: int, alpha: float, r, moments):
+    """Exact series for int |R_alpha(x, .)|^2 dmu, |x| = r, mu radial.
+
+    By sphere orthogonality this is sum_k gamma_k^2 h_k r^{2k} M_k, where
+    moments(K) returns the moments M_0..M_K of |y|^{2k} under mu.  r is a
+    scalar (float result) or an array of radii (array result), with one
+    truncation planned at the largest radius.
     """
     r = np.asarray(r, dtype=np.float64)
     rmax = float(r.max(initial=0.0))
@@ -335,14 +344,12 @@ def _kernel_power_integral_p2(n: int, alpha: float, beta: float, r):
     gam = kc.gamma_coeffs(n, alpha, K)
     h = kc.hdim_coeffs(n, K)
     ks = np.arange(K + 1)
-    # radial moments m_k(beta) via cumulative ratio (n/2 + k)/(n/2 + beta + 1 + k)
-    ratios = (n / 2.0 + ks) / (n / 2.0 + beta + 1.0 + ks)
-    m = np.concatenate(([1.0], np.cumprod(ratios[:-1])))
+    m = moments(K)
     rows = np.atleast_1d(r)
     # blocks of 256 radii keep the (radii x terms) table small
     sums = [(gam**2 * h * rb[:, None] ** (2 * ks) * m).sum(axis=-1)
             for rb in np.split(rows, range(256, rows.size, 256))]
-    out = kc.v_alpha(n, beta) * np.concatenate(sums)
+    out = np.concatenate(sums)
     return float(out[0]) if r.ndim == 0 else out
 
 
@@ -389,8 +396,11 @@ def kernel_norm_scan(alpha: float, p: float, beta: float, radii,
     radii = np.asarray(radii, dtype=np.float64)
     vals = np.empty_like(radii)
     if p == 2:
+        # moments of the normalized weight-beta measure; V_beta undoes the
+        # normalization
         for i, r in enumerate(radii):
-            vals[i] = _kernel_power_integral_p2(n, alpha, beta, float(r))
+            vals[i] = kc.v_alpha(n, beta) * _kernel_power_integral_p2(
+                n, alpha, float(r), lambda K: radial_moments(n, beta, K))
     elif n == 2:
         for i, r in enumerate(radii):
             vals[i] = _kernel_power_integral_fft(2, alpha, p, beta, float(r))

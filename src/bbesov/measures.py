@@ -1,14 +1,17 @@
 """Positive measures on the ball: averaging functions, Berezin-type
 transforms, Carleson statistics, and the weight-shifted measure kappa.
 
-A measure is finitely many atoms plus an optional density against the
-normalized volume measure.  Power-weight densities (scale * (1-|y|^2)^c dnu)
-cover every worked example; a tabulated radial density is also accepted.
+A measure is finitely many atoms plus an optional radial density
+scale * (1-|y|^2)^exponent * g(|y|) against the normalized volume measure:
+g = 1 for a power weight, g the linear interpolant of a table (radii,
+values) for a tabulated density; the exponent applies to both.  Only
+Density knows its kind: other code meets it through radial(), moments() and
+radial_rule().
 """
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,17 +23,51 @@ from .errors import ParameterError
 
 @dataclass
 class Density:
+    """scale * (1-|y|^2)^exponent * g(|y|) against dnu; a table's g is
+    constant beyond its end nodes."""
     kind: str            # "power-weight" | "tabulated-radial"
     exponent: float = 0.0
     scale: float = 1.0
     radii: np.ndarray | None = None
     values: np.ndarray | None = None
 
+    def _g(self, r):
+        return 1.0 if self.kind == "power-weight" else np.interp(r, self.radii, self.values)
+
+    def _weight(self, w: float) -> float:
+        c = w + self.exponent
+        if c <= -1.0:
+            raise ParameterError("w + c > -1",
+                                 f"density weight {c} not integrable")
+        return c
+
     def radial(self, r: np.ndarray) -> np.ndarray:
         """Density value against dnu as a function of |y|."""
+        return self.scale * (1.0 - r**2) ** self.exponent * self._g(r)
+
+    def radial_rule(self, n: int, w: float, level: int):
+        """Radii r_i and weights W_i with sum_i W_i f(r_i) approximating
+        int f(|y|) (1-|y|^2)^w dmu.
+
+        The level Gauss-Jacobi nodes of the combined exponent w + exponent
+        (calculus._radial_rule), weighted by g: exact for f polynomial in
+        r^2 of degree < 2 level when g = 1.
+        """
+        c = self._weight(w)
+        r, wr = ca._radial_rule(n, c, level)
+        return r, self.scale * kc.v_alpha(n, c) * wr * self._g(r)
+
+    def moments(self, n: int, w: float, K: int, level: int = 64) -> np.ndarray:
+        """M_k = int |y|^{2k} (1-|y|^2)^w dmu for k = 0..K.
+
+        Closed form scale V_{w+c} m_k(w+c) for a power weight; for a table,
+        the sum of g over the level nodes of radial_rule.
+        """
         if self.kind == "power-weight":
-            return self.scale * (1.0 - r**2) ** self.exponent
-        return self.scale * np.interp(r, self.radii, self.values)
+            c = self._weight(w)
+            return self.scale * kc.v_alpha(n, c) * ca.radial_moments(n, c, K)
+        r, W = self.radial_rule(n, w, level)
+        return np.power.outer(r * r, np.arange(K + 1)).T @ W
 
 
 @dataclass
@@ -53,7 +90,7 @@ class Measure:
     def scaled(self, c: float) -> "Measure":
         d = self.density
         if d is not None:
-            d = Density(d.kind, d.exponent, d.scale * c, d.radii, d.values)
+            d = replace(d, scale=d.scale * c)
         return Measure(self.n, [(x, c * w) for x, w in self.atoms], d)
 
 
@@ -82,19 +119,40 @@ def measure_from_json(text: str) -> Measure:
     for key in ("n", "atoms"):
         if key not in doc:
             raise ValueError(f"measure file missing /{key}")
-    dens = None
     d = doc.get("density")
-    if d is not None:
-        if d.get("kind") not in ("power-weight", "tabulated-radial"):
-            raise ValueError("measure file: /density/kind must be "
-                             "'power-weight' or 'tabulated-radial'")
-        dens = Density(d["kind"], float(d.get("exponent", 0.0)),
-                       float(d.get("scale", 1.0)),
-                       np.asarray(d["radii"], dtype=np.float64) if "radii" in d else None,
-                       np.asarray(d["values"], dtype=np.float64) if "values" in d else None)
     atoms = [(np.asarray(a["x"], dtype=np.float64), float(a["w"]))
              for a in doc["atoms"]]
-    return Measure(int(doc["n"]), atoms, dens)
+    return Measure(int(doc["n"]), atoms, None if d is None else _density_from_json(d))
+
+
+def _json_vector(d: dict, key: str) -> np.ndarray:
+    try:
+        v = np.asarray(d[key], dtype=np.float64)
+    except (KeyError, TypeError, ValueError):
+        v = None
+    if v is None or v.ndim != 1:
+        raise ValueError(f"measure file: /density/{key} must be a list of numbers")
+    return v
+
+
+def _density_from_json(d: dict) -> Density:
+    kind = d.get("kind")
+    if kind not in ("power-weight", "tabulated-radial"):
+        raise ValueError("measure file: /density/kind must be "
+                         "'power-weight' or 'tabulated-radial'")
+    scale = float(d.get("scale", 1.0))
+    if not scale >= 0.0:
+        raise ValueError(f"measure file: /density/scale must be nonnegative, got {scale}")
+    radii = values = None
+    if kind == "tabulated-radial":
+        radii, values = _json_vector(d, "radii"), _json_vector(d, "values")
+        if not (2 <= radii.size == values.size and radii[0] >= 0.0
+                and radii[-1] <= 1.0 and np.all(np.diff(radii) > 0.0)):
+            raise ValueError("measure file: /density/radii must increase strictly "
+                             "inside [0, 1], with at least 2 and as many as /density/values")
+        if not np.all(np.isfinite(values) & (values >= 0.0)):
+            raise ValueError("measure file: /density/values must be finite and nonnegative")
+    return Density(kind, float(d.get("exponent", 0.0)), scale, radii, values)
 
 
 # --------------------------------------------------------------------------
@@ -134,7 +192,9 @@ def berezin2(mu: Measure, Phi: float, alpha: float, x,
     """Squared-kernel transform, normalized by the kernel diagonal.
 
     x of shape (n,) gives a float; x of shape (N, n) gives an (N,) array,
-    each kernel series truncated once for all rows.
+    each kernel series truncated once for all rows.  The density term is
+    one series in the density's moments at weight Phi - alpha; level is the
+    number of radial nodes behind the moments of a table.
     """
     if Phi <= -1.0:
         raise ParameterError("Phi > -1", f"Phi = {Phi}")
@@ -150,21 +210,9 @@ def berezin2(mu: Measure, Phi: float, alpha: float, x,
         oy = 1.0 - np.einsum("ij,ij->i", Y, Y)
         total += (kv**2) @ (wts * oy ** (Phi - alpha))
     if mu.density is not None:
-        d = mu.density
-        if d.kind == "power-weight":
-            w = Phi - alpha + d.exponent
-            if w <= -1.0:
-                raise ParameterError("Phi - alpha + c > -1",
-                                     f"density weight {w} not integrable")
-            total += d.scale * ca._kernel_power_integral_p2(
-                mu.n, Phi, w, np.sqrt(r2))
-        else:
-            rule = ca.quadrature_build(mu.n, 0.0, level)
-            rr = np.sqrt(np.einsum("ij,ij->i", rule.points, rule.points))
-            wd = rule.weights * (1 - rr**2) ** (Phi - alpha) * d.radial(rr)
-            for i, xi in enumerate(X):
-                total[i] += float(np.dot(
-                    wd, kc.kernel_eval_batch(mu.n, Phi, xi, rule.points, tol) ** 2))
+        total += ca._kernel_power_integral_p2(
+            mu.n, Phi, np.sqrt(r2),
+            lambda K: mu.density.moments(mu.n, Phi - alpha, K, level))
     out = total / norm
     return float(out[0]) if x.ndim == 1 else out
 
@@ -211,16 +259,8 @@ def berezin_type(mu: Measure, alpha: float, s_exp: float, x,
         wts = np.array([w for _, w in mu.atoms])
         total += float(np.sum(wts * ge.bracket_batch(x, Y) ** (-sigma)))
     if mu.density is not None:
-        d = mu.density
-        if d.kind == "power-weight":
-            rho_nodes, wr = ca._radial_rule(n, d.exponent, level)
-            means = ca._bracket_angular_mean(n, sigma, r * rho_nodes)
-            total += d.scale * kc.v_alpha(n, d.exponent) * float(np.dot(wr, means))
-        else:
-            rule = ca.quadrature_build(n, 0.0, max(level // 4, 32))
-            rr = np.sqrt(np.einsum("ij,ij->i", rule.points, rule.points))
-            b = ge.bracket_batch(x, rule.points) ** (-sigma)
-            total += float(np.dot(rule.weights, b * d.radial(rr)))
+        rho, W = mu.density.radial_rule(n, 0.0, level)
+        total += float(np.dot(W, ca._bracket_angular_mean(n, sigma, r * rho)))
     return (1.0 - r**2) ** s_exp * total
 
 
@@ -229,13 +269,7 @@ def kappa_from_mu(mu: Measure, s: float, t: float, alpha: float) -> Measure:
     e = s + t - alpha
     atoms = [(x, w * (1.0 - float(np.dot(x, x))) ** e) for x, w in mu.atoms]
     d = mu.density
-    if d is not None:
-        if d.kind == "power-weight":
-            d = Density(d.kind, d.exponent + e, d.scale)
-        else:
-            d = Density(d.kind, 0.0, 1.0, d.radii,
-                        d.scale * d.values * (1.0 - d.radii**2) ** e)
-    return Measure(mu.n, atoms, d)
+    return Measure(mu.n, atoms, None if d is None else replace(d, exponent=d.exponent + e))
 
 
 # --------------------------------------------------------------------------

@@ -160,9 +160,9 @@ def _deriv_basis(spec: BasisSpec, basis):
 def toeplitz_matrix(mu: me.Measure, spec: BasisSpec, level: int = 64) -> OperatorMatrix:
     """Quadratic-form matrix of the operator attached to mu.
 
-    Atomic part summed exactly; a power-weight density is degree-diagonal
-    in closed form (radial_oracle); a tabulated density is integrated by
-    the product quadrature rule at weight 2u.
+    Atomic part summed exactly; the density is degree-diagonal by sphere
+    orthogonality (radial_oracle), from its radial moments at weight 2u.
+    level is the number of radial nodes behind the moments of a table.
     """
     spec.validate()
     if mu.n != spec.n:
@@ -171,26 +171,14 @@ def toeplitz_matrix(mu: me.Measure, spec: BasisSpec, level: int = 64) -> Operato
     dbasis = _deriv_basis(spec, basis)
     m = len(basis)
     M = np.zeros((m, m))
-    u = spec.u
     if mu.atoms:
         Y = np.array([a for a, _ in mu.atoms])
         wts = np.array([w for _, w in mu.atoms])
         oy = 1.0 - np.einsum("ij,ij->i", Y, Y)
         E = np.stack([ca.evaluate_batch(db, Y) for db in dbasis])  # (m, A)
-        M += (E * (wts * oy ** (2.0 * u))[None, :]) @ E.T
-    d = mu.density
-    if d is not None:
-        if d.kind == "power-weight":
-            M += np.diag(radial_oracle(me.Measure(spec.n, [], d), spec))
-        else:
-            w_exp = 2.0 * u
-            if w_exp <= -1.0:
-                raise ParameterError("2u > -1", f"2u = {w_exp}")
-            rule = ca.quadrature_build(spec.n, w_exp, level)
-            rr = np.sqrt(np.einsum("ij,ij->i", rule.points, rule.points))
-            E = np.stack([ca.evaluate_batch(db, rule.points) for db in dbasis])
-            wts = rule.weights * d.radial(rr) * kc.v_alpha(spec.n, w_exp)
-            M += (E * wts[None, :]) @ E.T
+        M += (E * (wts * oy ** (2.0 * spec.u))[None, :]) @ E.T
+    if mu.density is not None:
+        M += np.diag(radial_oracle(me.Measure(spec.n, [], mu.density), spec, level))
     M = 0.5 * (M + M.T)
     return OperatorMatrix(spec, M, degrees, _measure_fingerprint(mu))
 
@@ -221,19 +209,6 @@ def spectrum(M: OperatorMatrix, p_list=(1.0, 2.0)) -> SpectrumReport:
 # integral-operator matrices (for the intertwining and boundedness checks)
 
 
-def _pseudo_atoms(mu: me.Measure, level: int = 32):
-    """Atoms plus a quadrature discretization of a tabulated density."""
-    pts = [x for x, _ in mu.atoms]
-    wts = [w for _, w in mu.atoms]
-    d = mu.density
-    if d is not None and d.kind != "power-weight":
-        rule = ca.quadrature_build(mu.n, 0.0, level)
-        rr = np.sqrt(np.einsum("ij,ij->i", rule.points, rule.points))
-        pts.extend(rule.points)
-        wts.extend(rule.weights * d.radial(rr))
-    return np.array(pts).reshape(-1, mu.n), np.array(wts)
-
-
 def _section_operator(mu: me.Measure, spec: BasisSpec, t: float,
                       shifted: bool, level: int) -> np.ndarray:
     """Shared body of the two integral-operator matrices.
@@ -241,10 +216,10 @@ def _section_operator(mu: me.Measure, spec: BasisSpec, t: float,
     By the reproducing property, the coordinate on e_i (degree k) of the
     truncated kernel section R_w(., y) is
     (V_Phi/V_alpha) (gamma_k(s+u)/gamma_k(s))^2 m_k(Phi) gamma_k(w) e_i(y),
-    so atoms need only basis values.  A power-weight density scale
-    (1-|y|^2)^c dnu is degree-diagonal: (V_alpha/V_{s+t}) scale V_w
-    gamma_k(s+t) m_k(w), with w = c + s - alpha + t for mu and w = c for
-    kappa, whose exponent already carries the reweighting.
+    so atoms need only basis values.  A density is degree-diagonal:
+    (V_alpha/V_{s+t}) M_k gamma_k(s+t), with M_k its radial moments at
+    weight s - alpha + t for mu and 0 for kappa, whose exponent already
+    carries the reweighting.
     """
     basis, degrees = basis_build(spec)
     n, kmax = spec.n, spec.max_degree
@@ -263,20 +238,17 @@ def _section_operator(mu: me.Measure, spec: BasisSpec, t: float,
            * (gam_su / gam_s) ** 2 * moments * gam_w)
     deg = np.array(degrees)
     M = np.zeros((len(basis), len(basis)))
-    Y, wts = _pseudo_atoms(mu, level)
-    if Y.size:
+    if mu.atoms:
+        Y = np.array([x for x, _ in mu.atoms])
+        wts = np.array([w for _, w in mu.atoms])
         E = np.stack([ca.evaluate_batch(e, Y) for e in basis])  # (m, A)
         oy = 1.0 - np.einsum("ij,ij->i", Y, Y)
         A = sec[deg][:, None] * E
         C = col[deg][:, None] * E * (wts * oy ** exponent)[None, :]
         M += pref * (A @ C.T)
-    d = mu.density
-    if d is not None and d.kind == "power-weight":
-        w = d.exponent + exponent
-        if w <= -1.0:
-            raise ParameterError("c + s + t - alpha > -1", f"combined weight {w}")
-        M += np.diag([pref * d.scale * kc.v_alpha(n, w) * gam_st[k]
-                      * ca.radial_moment(n, w, k) for k in degrees])
+    if mu.density is not None:
+        M += np.diag(pref * mu.density.moments(n, exponent, kmax, level)[deg]
+                     * gam_st[deg])
     return M
 
 
@@ -328,25 +300,23 @@ def intertwine_check(mu: me.Measure, spec: BasisSpec, t: float,
 # oracles and diagnostics
 
 
-def radial_oracle(mu: me.Measure, spec: BasisSpec) -> np.ndarray:
-    """Diagonal entries for a purely radial power-weight measure (1-D form).
+def radial_oracle(mu: me.Measure, spec: BasisSpec, level: int = 64) -> np.ndarray:
+    """Diagonal entries for an atom-free measure with a radial density.
 
-    For dmu = scale (1-|y|^2)^c dnu the matrix is diagonal by sphere
-    orthogonality with entries scale V_w m_k(w) V_alpha / (V_Phi m_k(Phi)),
-    w = 2u + c.
+    The matrix is diagonal by sphere orthogonality, with entries
+    M_k V_alpha / (V_Phi m_k(Phi)), where M_k are the density's radial
+    moments at weight 2u: scale V_w m_k(w), w = 2u + c, for a power weight
+    scale (1-|y|^2)^c dnu.  The formula holds in every dimension n >= 2.
     """
-    spec.validate()
-    if mu.atoms or mu.density is None or mu.density.kind != "power-weight":
-        raise ValueError("radial oracle requires a purely radial power-weight measure")
-    c = mu.density.exponent
-    w = 2.0 * spec.u + c
-    if w <= -1.0:
-        raise ParameterError("2u + c > -1", f"combined weight {w}")
+    if spec.Phi <= -1.0:
+        raise ParameterError("2s - alpha > -1", f"2s - alpha = {spec.Phi}")
+    if mu.atoms or mu.density is None:
+        raise ValueError("radial oracle requires an atom-free measure with a density")
     n = spec.n
+    M = mu.density.moments(n, 2.0 * spec.u, spec.max_degree, level)
     out = []
     for k in range(spec.max_degree + 1):
-        val = (mu.density.scale * kc.v_alpha(n, w) * ca.radial_moment(n, w, k)
-               * kc.v_alpha(n, spec.alpha)
+        val = (M[k] * kc.v_alpha(n, spec.alpha)
                / (kc.v_alpha(n, spec.Phi) * ca.radial_moment(n, spec.Phi, k)))
         out.extend([val] * kc.dim_harmonics(n, k))
     return np.array(out)
@@ -433,8 +403,10 @@ def boundedness_estimate(mu: me.Measure, p1: float, alpha1: float, p2: float,
     """Monte Carlo lower bound for the operator norm between two spaces.
 
     The image of each random polynomial is evaluated from the defining
-    integral (normalized so the weighted volume measure gives the identity);
-    both norms use order-zero operators, so alpha1, alpha2 > -1 required.
+    integral (normalized so the weighted volume measure gives the identity):
+    atoms through kernel sections, the density degreewise from its radial
+    moments.  Both norms use order-zero operators, so alpha1, alpha2 > -1
+    required.
     """
     n = mu.n
     for (pp, aa) in ((p1, alpha1), (p2, alpha2)):
@@ -449,28 +421,19 @@ def boundedness_estimate(mu: me.Measure, p1: float, alpha1: float, p2: float,
     rule1 = ca.quadrature_build(n, alpha1, level)
     pref = kc.v_alpha(n, alpha1) / kc.v_alpha(n, s + t)
     params1 = ca.SpaceParams(n, p1, alpha1, 0.0, 0.0)
-    # discrete part of mu (atoms, plus a tabulated density discretized with
-    # the boundary weight folded into the node weights)
+    # atoms, with the boundary weight folded into their masses
+    w_exp = s - alpha1 + t
     Y = np.array([x for x, _ in mu.atoms]).reshape(-1, n)
     wts = np.array([w for _, w in mu.atoms])
     if Y.size:
         oy = 1.0 - np.einsum("ij,ij->i", Y, Y)
-        wts = wts * oy ** (s - alpha1 + t)
-    d = mu.density
-    pw = None
-    if d is not None:
-        if d.kind == "power-weight":
-            w_exp = d.exponent + s - alpha1 + t
-            if w_exp <= -1.0:
-                raise ParameterError("c + s + t - alpha > -1",
-                                     f"combined weight {w_exp}")
-            pw = (w_exp, d.scale)
-        else:
-            rule0 = ca.quadrature_build(n, 0.0, level)
-            rr = np.sqrt(np.einsum("ij,ij->i", rule0.points, rule0.points))
-            Y = np.vstack([Y, rule0.points])
-            wts = np.concatenate([
-                wts, rule0.weights * d.radial(rr) * (1 - rr**2) ** (s - alpha1 + t)])
+        wts = wts * oy ** w_exp
+    # the density is degreewise: the image of a degree-k part is that part
+    # times pref M_k gamma_k(s), so no quadrature enters here
+    dens = None
+    if mu.density is not None:
+        dens = (pref * mu.density.moments(n, w_exp, max_degree, level)
+                * kc.gamma_coeffs(n, s, max_degree))
     Ksec = (np.stack([kc.kernel_eval_batch(n, s, y, rule2.points, 1e-9)
                       for y in Y]) if Y.size else None)
     best = 0.0
@@ -483,16 +446,8 @@ def boundedness_estimate(mu: me.Measure, p1: float, alpha1: float, p2: float,
         Tf = np.zeros(rule2.points.shape[0])
         if Ksec is not None:
             Tf += pref * ((wts * ca.evaluate_batch(df, Y)) @ Ksec)
-        if pw is not None:
-            # power-weight density: degreewise closed form (the integrand is
-            # polynomial per degree, so no quadrature enters here)
-            w_exp, sc = pw
-            gam_s = kc.gamma_coeffs(n, s, df.max_degree())
-            parts = {k: [(coef * pref * sc * kc.v_alpha(n, w_exp) * gam_s[k]
-                          * ca.radial_moment(n, w_exp, k), pole)
-                         for coef, pole in atoms_k]
-                     for k, atoms_k in df.parts.items()}
-            Tf += ca.evaluate_batch(ca.HarmonicPolynomial(n, parts), rule2.points)
+        if dens is not None:
+            Tf += ca.evaluate_batch(df.scaled(dens), rule2.points)
         nrm2 = (float(np.dot(rule2.weights, np.abs(Tf) ** p2))) ** (1.0 / p2)
         best = max(best, nrm2 / nrm1)
     return best

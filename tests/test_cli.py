@@ -153,6 +153,17 @@ def test_measure_malformed_json_exit2(capsys, tmp_path):
     assert err
 
 
+def test_negative_density_table_exit2(capsys, tmp_path):
+    path = tmp_path / "neg.json"
+    path.write_text('{"n": 2, "atoms": [], "density": {"kind": "tabulated-radial", '
+                    '"radii": [0, 0.5, 1], "values": [1, -1, 0]}}')
+    code, out, err = run(capsys, ["toeplitz", "spectrum", "--file", str(path),
+                                  "--alpha", "0.5", "--s", "1", "--K", "4"])
+    assert code == 2
+    assert out == ""
+    assert "/density/values" in err
+
+
 def test_toeplitz_matrix_identity(capsys, tmp_path):
     path = write_measure(tmp_path, me.nu_alpha_measure(2, 0.5))
     code, out, _ = run(capsys, ["toeplitz", "matrix", "--file", path,

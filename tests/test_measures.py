@@ -40,6 +40,12 @@ def test_measure_json_roundtrip():
     for (x1, w1), (x2, w2) in zip(mu.atoms, rt.atoms):
         assert np.array_equal(x1, x2) and w1 == w2
     assert rt.density.exponent == 1.5 and rt.density.scale == 0.3
+    mu.density = me.Density("tabulated-radial", 0.75, 0.3,
+                            np.array([0.0, 0.5, 1.0]), np.array([1.0, 2.0, 0.5]))
+    d = me.measure_from_json(me.measure_to_json(mu)).density
+    assert d.kind == "tabulated-radial" and d.exponent == 0.75 and d.scale == 0.3
+    assert np.array_equal(d.radii, mu.density.radii)
+    assert np.array_equal(d.values, mu.density.values)
 
 
 def test_measure_json_schema_errors():
@@ -47,6 +53,28 @@ def test_measure_json_schema_errors():
         me.measure_from_json('{"atoms": []}')
     with pytest.raises(ValueError, match="/density/kind"):
         me.measure_from_json('{"n": 2, "atoms": [], "density": {"kind": "x"}}')
+    tables = {
+        '"values": [1, 2]': "/density/radii",
+        '"radii": [0, 1]': "/density/values",
+        '"radii": [[0, 1]], "values": [1, 2]': "/density/radii",
+        '"radii": [0, 0.5, 1], "values": [1, 2]': "/density/radii",
+        '"radii": [0], "values": [1]': "/density/radii",
+        '"radii": [0, 0.5, 0.5], "values": [1, 2, 3]': "/density/radii",
+        '"radii": [0.5, 0], "values": [1, 2]': "/density/radii",
+        '"radii": [-0.1, 1], "values": [1, 2]': "/density/radii",
+        '"radii": [0, 1.5], "values": [1, 2]': "/density/radii",
+        '"radii": [0, 1], "values": [1, -2]': "/density/values",
+        '"radii": [0, 1], "values": [1, Infinity]': "/density/values",
+        '"radii": [0, 1], "values": [1, NaN]': "/density/values",
+        '"radii": [0, 1], "values": [1, 2], "scale": -1': "/density/scale",
+    }
+    for body, path in tables.items():
+        with pytest.raises(ValueError, match=path):
+            me.measure_from_json('{"n": 2, "atoms": [], "density": '
+                                 '{"kind": "tabulated-radial", ' + body + '}}')
+    with pytest.raises(ValueError, match="/density/scale"):
+        me.measure_from_json('{"n": 2, "atoms": [], "density": '
+                             '{"kind": "power-weight", "scale": -0.5}}')
 
 
 def test_measure_of_pseudoball_atoms():

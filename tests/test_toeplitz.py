@@ -113,6 +113,11 @@ def test_radial_oracle_matches_matrix():
     off = M - np.diag(np.diag(M))
     assert np.max(np.abs(off)) < 1e-9
     assert np.max(np.abs(np.diag(M) - D) / np.abs(D)) < 1e-8
+    # the formula is dimension-generic: nu_alpha gives the identity at n = 4
+    sp4 = tp.BasisSpec(4, 0.5, 1.25, 6)
+    D4 = tp.radial_oracle(me.nu_alpha_measure(4, 0.5), sp4)
+    assert D4.size == sp4.size
+    assert np.max(np.abs(D4 - 1.0)) < 1e-13
 
 
 def test_integral_operator_identity_any_t():
@@ -294,3 +299,32 @@ def test_intertwine_atoms_and_power_weight(n, K):
     sp = tp.BasisSpec(n, 0.0, 1.0, K)
     for t in (0.5, 1.25):
         assert tp.intertwine_check(mu, sp, t).residual <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_intertwine_tabulated_density(n):
+    # kappa reweights a table through its exponent, so both sides of the
+    # intertwining use the same table at the same radial nodes
+    mu = me.Measure(n, [], me.Density("tabulated-radial", 0.0, 1.0,
+                                      np.linspace(0.0, 1.0, 11),
+                                      np.linspace(1.0, 2.0, 11)))
+    rep = tp.intertwine_check(mu, tp.BasisSpec(n, 0.0, 1.0, 4), 0.5)
+    assert rep.residual <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_table_matches_power_weight(n):
+    # 0.7 (1-r^2)^2 sampled on 2,001 nodes against its closed form
+    r = np.linspace(0.0, 1.0, 2001)
+    table = me.Measure(n, [], me.Density("tabulated-radial", 0.0, 0.7, r,
+                                         (1.0 - r**2) ** 2))
+    power = me.Measure(n, [], me.Density("power-weight", 2.0, 0.7))
+    X = np.zeros((3, n))
+    X[:, 0] = (0.0, 0.5, 0.9)
+    got = me.berezin2(table, 1.5, 0.5, X)
+    ref = me.berezin2(power, 1.5, 0.5, X)
+    assert np.max(np.abs(got / ref - 1.0)) <= 5e-5
+    sp = tp.BasisSpec(n, 0.5, 1.25, 6)
+    got = np.diag(tp.toeplitz_matrix(table, sp).entries)
+    ref = np.diag(tp.toeplitz_matrix(power, sp).entries)
+    assert np.max(np.abs(got / ref - 1.0)) <= 5e-5
