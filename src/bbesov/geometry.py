@@ -106,51 +106,27 @@ def _conflict_radius(delta: float, one_minus_r2) -> np.ndarray:
     return delta * (1.0 + delta) / (1.0 - delta) * np.asarray(one_minus_r2)
 
 
-def _shell_radii(delta: float, rmax: float):
-    d = delta / 2.0
-    radii = [0.0]
-    r = 0.0
-    while r < rmax:
-        r = (r + d) / (1.0 + r * d)
-        if r >= rmax:
-            break
-        radii.append(r)
-    return radii
-
-
-def _shell_candidates(n: int, r: float, delta: float):
-    """Deterministic candidate directions, lexicographic angular order."""
-    if r == 0.0:
-        return np.zeros((1, n))
-    step = delta * (1.0 - r**2) / (4.0 * r)
-    if n == 2:
-        M = max(8, int(math.ceil(2.0 * math.pi / step)))
-        theta = 2.0 * np.pi * np.arange(M) / M
-        return r * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    # n = 3: Fibonacci sphere, ordered by polar angle then azimuth
-    N = max(16, int(math.ceil(16.0 / step**2)))
-    i = np.arange(N)
-    z = 1.0 - 2.0 * (i + 0.5) / N
-    phi = i * (math.pi * (3.0 - math.sqrt(5.0)))
-    st = np.sqrt(1.0 - z**2)
-    return r * np.stack([st * np.cos(phi), st * np.sin(phi), z], axis=1)
-
-
 def _cells(lo: np.ndarray, hi: np.ndarray):
-    """Centres of polar boxes (ranges of t = atanh|x|, polar angle if n = 3,
-    azimuth) and metric bounds of the moves from a point of a box to its
-    centre: radially, tanh(dt / 2), then by arcs along a meridian and a ring
-    of the centre's shell.  On that shell, of radius r, points an arc L apart
-    have rho <= L / (1 - r^2), as [x, y] >= 1 - r^2 there; those bounds stop
-    just below 1 (rho < 1 in any case) to keep arctanh finite in _fill."""
+    """Centres of polar boxes and metric bounds of the moves from a point of a
+    box to its centre.  A box is a range of t = atanh|x|, of the angles
+    phi_1..phi_{n-2} in [0, pi] and of phi_{n-1} in [0, 2 pi]; the last
+    coordinate is cos phi_1, the next sin phi_1 cos phi_2, and so on.  The
+    moves are: radially, tanh(dt / 2), then by arcs along phi_1, phi_2, ... on
+    the centre's shell, of radius r; the arc along phi_j runs through the
+    centre's earlier angles c_i, so its length is prod_{i<j} sin c_i times the
+    half-width of phi_j.  On that shell points an arc L apart have
+    rho <= L / (1 - r^2), as [x, y] >= 1 - r^2 there; those bounds stop just
+    below 1 (rho < 1 in any case) to keep arctanh finite in _fill."""
     c, a = (lo + hi) / 2.0, (hi - lo) / 2.0
-    r = np.tanh(c[:, 0])
-    if lo.shape[1] == 2:
-        u, arcs = np.column_stack([np.cos(c[:, 1]), np.sin(c[:, 1])]), [a[:, 1]]
-    else:
-        sp = np.sin(c[:, 1])
-        u = np.column_stack([sp * np.cos(c[:, 2]), sp * np.sin(c[:, 2]), np.cos(c[:, 1])])
-        arcs = [a[:, 1], sp * a[:, 2]]
+    n = lo.shape[1]
+    r, s = np.tanh(c[:, 0]), 1.0
+    u, arcs = np.empty_like(c), []
+    for j in range(1, n - 1):
+        u[:, n - j] = s * np.cos(c[:, j])
+        arcs.append(s * a[:, j])
+        s = s * np.sin(c[:, j])
+    u[:, 0], u[:, 1] = s * np.cos(c[:, -1]), s * np.sin(c[:, -1])
+    arcs.append(s * a[:, -1])
     moves = [np.minimum(r / (1.0 - r * r) * L, 1.0 - 1e-16) for L in arcs]
     return r[:, None] * u, np.column_stack([np.tanh(a[:, 0])] + moves)
 
@@ -232,32 +208,28 @@ def _fill(P: np.ndarray, delta: float, rmax: float) -> np.ndarray:
 def lattice_gen(n: int, delta: float, rmax: float,
                 multiplicity_bound: int = 64,
                 max_points: int = 2_000_000) -> Lattice:
-    """Greedy maximal delta-separated net on metrically equispaced shells.
+    """Greedy maximal delta-separated net of |x| <= rmax, for every n >= 2.
 
     Deterministic for fixed (n, delta, rmax), with no random numbers: the
-    origin first, then shells outward, candidates on each shell in angular
-    order; _fill then certifies coverage of |x| <= rmax.
+    origin first, then _fill takes the gaps of polar boxes in box order until
+    coverage of |x| <= rmax is certified.  The size estimate, summed over the
+    metrically equispaced radii tanh(j atanh(delta / 2)) < rmax, is checked
+    against max_points before any box is built.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     if not 0.0 < rmax < 1.0:
         raise ValueError("rmax must lie in (0, 1)")
-    if n not in (2, 3):
-        raise NotImplementedError("lattice generation implemented for n in {2, 3}")
-    radii = _shell_radii(delta, rmax)
-    est = sum(max(1.0, 4.0 * (r / (delta * (1 - r**2)))) ** (n - 1) * 4 for r in radii)
+    step = math.atanh(delta / 2.0)
+    r = np.tanh(step * np.arange(int(math.atanh(rmax) / step) + 2))
+    r = r[r < rmax]
+    est = float(np.sum(np.maximum(1.0, 4.0 * r / (delta * (1 - r**2))) ** (n - 1) * 4))
     if est > max_points:
         raise ValueError(
             f"estimated lattice size {est:.2e} exceeds max_points={max_points}; "
             "use a smaller horizon")
-    pts = np.zeros((1, n))
-    for r in radii[1:]:
-        cand = _shell_candidates(n, r, delta)
-        pts = np.concatenate([pts, _select(cand, _min_rho(cand, pts, delta), delta)])
-        if pts.shape[0] > max_points:
-            raise ValueError("lattice grew past max_points")
     return Lattice(n, float(delta), float(rmax), int(multiplicity_bound),
-                   _fill(pts, delta, rmax))
+                   _fill(np.zeros((1, n)), delta, rmax))
 
 
 def lattice_separation(lat: Lattice) -> float:

@@ -117,22 +117,45 @@ def measure_to_json(mu: Measure) -> str:
 def measure_from_json(text: str) -> Measure:
     doc = json.loads(text)
     for key in ("n", "atoms"):
-        if key not in doc:
+        if not isinstance(doc, dict) or key not in doc:
             raise ValueError(f"measure file missing /{key}")
+    n = doc["n"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
+        raise ValueError(f"measure file: /n must be an integer >= 2, got {n!r}")
+    if not isinstance(doc["atoms"], list):
+        raise ValueError("measure file: /atoms must be a list")
+    atoms = []
+    for i, a in enumerate(doc["atoms"]):
+        for key in ("x", "w"):
+            if not isinstance(a, dict) or key not in a:
+                raise ValueError(f"measure file missing /atoms/{i}/{key}")
+        x = _json_vector(a["x"], f"/atoms/{i}/x")
+        if x.size != n or not np.all(np.isfinite(x)):
+            raise ValueError(f"measure file: /atoms/{i}/x must be {n} finite numbers")
+        w = _json_number(a["w"], f"/atoms/{i}/w")
+        if w <= 0.0:
+            raise ValueError(f"measure file: /atoms/{i}/w must be positive, got {w}")
+        atoms.append((x, w))
     d = doc.get("density")
-    atoms = [(np.asarray(a["x"], dtype=np.float64), float(a["w"]))
-             for a in doc["atoms"]]
-    return Measure(int(doc["n"]), atoms, None if d is None else _density_from_json(d))
+    if d is not None and not isinstance(d, dict):
+        raise ValueError("measure file: /density must be an object or null")
+    return Measure(n, atoms, None if d is None else _density_from_json(d))
 
 
-def _json_vector(d: dict, key: str) -> np.ndarray:
-    try:
-        v = np.asarray(d[key], dtype=np.float64)
-    except (KeyError, TypeError, ValueError):
-        v = None
-    if v is None or v.ndim != 1:
-        raise ValueError(f"measure file: /density/{key} must be a list of numbers")
-    return v
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _json_vector(v, path: str) -> np.ndarray:
+    if not (isinstance(v, list) and all(_is_number(e) for e in v)):
+        raise ValueError(f"measure file: {path} must be a list of numbers")
+    return np.asarray(v, dtype=np.float64)
+
+
+def _json_number(v, path: str) -> float:
+    if not (_is_number(v) and math.isfinite(v)):
+        raise ValueError(f"measure file: {path} must be a finite number, got {v!r}")
+    return float(v)
 
 
 def _density_from_json(d: dict) -> Density:
@@ -140,19 +163,21 @@ def _density_from_json(d: dict) -> Density:
     if kind not in ("power-weight", "tabulated-radial"):
         raise ValueError("measure file: /density/kind must be "
                          "'power-weight' or 'tabulated-radial'")
-    scale = float(d.get("scale", 1.0))
-    if not scale >= 0.0:
+    scale = _json_number(d.get("scale", 1.0), "/density/scale")
+    if scale < 0.0:
         raise ValueError(f"measure file: /density/scale must be nonnegative, got {scale}")
     radii = values = None
     if kind == "tabulated-radial":
-        radii, values = _json_vector(d, "radii"), _json_vector(d, "values")
+        radii = _json_vector(d.get("radii"), "/density/radii")
+        values = _json_vector(d.get("values"), "/density/values")
         if not (2 <= radii.size == values.size and radii[0] >= 0.0
                 and radii[-1] <= 1.0 and np.all(np.diff(radii) > 0.0)):
             raise ValueError("measure file: /density/radii must increase strictly "
                              "inside [0, 1], with at least 2 and as many as /density/values")
         if not np.all(np.isfinite(values) & (values >= 0.0)):
             raise ValueError("measure file: /density/values must be finite and nonnegative")
-    return Density(kind, float(d.get("exponent", 0.0)), scale, radii, values)
+    return Density(kind, _json_number(d.get("exponent", 0.0), "/density/exponent"),
+                   scale, radii, values)
 
 
 # --------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from bbesov import kernelcore as kc
 from bbesov import measures as me
+from bbesov import verify as vf
 from bbesov.cli import main
 
 
@@ -77,10 +78,11 @@ def test_lattice_bad_delta_exit2(capsys):
     assert "[violates Lemma 2.5]" in err
 
 
-def test_unimplemented_dimension_exit2(capsys):
+def test_unimplemented_dimension_exit2(capsys, tmp_path):
     # exit 1 means a failed verification, so an unsupported n must not use it
-    code, out, err = run(capsys, ["lattice", "--n", "4", "--delta", "0.5",
-                                  "--horizon", "0.6"])
+    path = write_measure(tmp_path, me.nu_alpha_measure(4, 0.5))
+    code, out, err = run(capsys, ["toeplitz", "spectrum", "--file", path, "--n", "4",
+                                  "--alpha", "0.5", "--s", "1", "--K", "2"])
     assert code == 2
     assert out == ""
     assert err.startswith("not implemented:") and err.count("\n") == 1
@@ -164,6 +166,16 @@ def test_negative_density_table_exit2(capsys, tmp_path):
     assert "/density/values" in err
 
 
+def test_atom_without_location_exit2(capsys, tmp_path):
+    path = tmp_path / "atom.json"
+    path.write_text('{"n": 2, "atoms": [{"w": 1}]}')
+    code, out, err = run(capsys, ["toeplitz", "spectrum", "--file", str(path),
+                                  "--alpha", "0.5", "--s", "1", "--K", "2"])
+    assert code == 2
+    assert out == ""
+    assert "/atoms/0/x" in err
+
+
 def test_toeplitz_matrix_identity(capsys, tmp_path):
     path = write_measure(tmp_path, me.nu_alpha_measure(2, 0.5))
     code, out, _ = run(capsys, ["toeplitz", "matrix", "--file", path,
@@ -230,6 +242,10 @@ def test_verify_single_suite_exit0(capsys):
     assert doc["ok"] is True
     assert all(c["status"] == "pass" for c in doc["checks"])
     assert all("paper_ref" in c for c in doc["checks"])
+
+
+def test_verify_report_identical_for_identical_arguments():
+    assert vf.report_json(vf.run("kernels")) == vf.report_json(vf.run("kernels"))
 
 
 def test_verify_unknown_suite_usage_error(capsys):

@@ -140,12 +140,15 @@ def test_lattice_audits_n3():
     assert mult <= lat.multiplicity_bound
 
 
-def test_lattice_fill_closes_shell_gaps(monkeypatch):
-    # the shells alone leave gaps in (2, 0.5, 0.9); the certified fill closes them
-    with monkeypatch.context() as m:
-        m.setattr(ge, "_fill", lambda P, delta, rmax: P)
-        shells = ge.lattice_gen(2, 0.5, 0.9)
-    assert sum(ge.lattice_coverage(shells, samples=4000, seed=s)[0] for s in range(3)) > 0
+def test_lattice_audits_n4():
+    lat = ge.lattice_gen(4, 0.5, 0.6)
+    assert ge.lattice_separation(lat) >= 0.5 - 1e-12
+    uncovered, mult = ge.lattice_coverage(lat, samples=3000, seed=5)
+    assert uncovered == 0
+    assert mult <= lat.multiplicity_bound
+
+
+def test_lattice_fill_covers_six_seeds():
     lat = ge.lattice_gen(2, 0.5, 0.9)
     assert ge.lattice_separation(lat) >= 0.5 - 1e-12
     for seed in range(6):
@@ -155,16 +158,19 @@ def test_lattice_fill_closes_shell_gaps(monkeypatch):
 
 
 @pytest.mark.parametrize("n, delta, rmax", [(2, 0.5, 0.9), (3, 0.5, 0.7)])
-def test_shell_phase_matches_loop_reference(monkeypatch, n, delta, rmax):
-    # the vectorised greedy pass takes exactly the points of a plain loop that
-    # tests each candidate against every point taken before it
+def test_fill_greedy_step_matches_loop_reference(n, delta, rmax):
+    # on the root-net centres, the vectorised greedy step takes exactly the
+    # points of a plain loop that tests each candidate against every point
+    # taken before it
+    P = np.zeros((1, n))
+    C = ge._cells(*ge._root_net(n, rmax, delta / 2.0))[0]
     ref = [np.zeros(n)]
-    for r in ge._shell_radii(delta, rmax)[1:]:
-        for x in ge._shell_candidates(n, r, delta):
-            if ge.rho_batch(x, np.array(ref)).min() >= delta:
-                ref.append(x)
-    monkeypatch.setattr(ge, "_fill", lambda P, delta, rmax: P)
-    assert np.array_equal(ge.lattice_gen(n, delta, rmax).points, np.array(ref))
+    for x in C:
+        if ge.rho_batch(x, np.array(ref)).min() >= delta:
+            ref.append(x)
+    got = ge._select(C, ge._min_rho(C, P, delta), delta)
+    assert len(got) > 0
+    assert np.array_equal(np.concatenate([P, got]), np.array(ref))
 
 
 def test_lattice_gen_draws_no_random_numbers(monkeypatch):
@@ -182,13 +188,14 @@ def test_lattice_gen_draws_no_random_numbers(monkeypatch):
 
 
 @pytest.mark.parametrize("n, delta, rmax", [(2, 0.5, 0.9), (2, 0.5, 0.99),
-                                            (3, 0.5, 0.7), (3, 0.6, 0.85)])
+                                            (3, 0.5, 0.7), (3, 0.6, 0.85),
+                                            (4, 0.5, 0.6)])
 def test_lattice_points_inside_horizon(n, delta, rmax):
     lat = ge.lattice_gen(n, delta, rmax)
     assert np.all(np.linalg.norm(lat.points, axis=1) <= rmax)
 
 
-@pytest.mark.parametrize("n, rmax, h", [(2, 0.9, 0.25), (3, 0.7, 0.25)])
+@pytest.mark.parametrize("n, rmax, h", [(2, 0.9, 0.25), (3, 0.7, 0.25), (4, 0.6, 0.25)])
 def test_root_net_covering_radius(n, rmax, h):
     # each point lies within its box's certified radius of the box centre,
     # and every radius is at most eps0 = tanh(n atanh(h / 2))
@@ -201,9 +208,12 @@ def test_root_net_covering_radius(n, rmax, h):
     X = rng.normal(size=(3000, n))
     X *= (rmax * rng.uniform(size=3000) ** (1 / n) / np.linalg.norm(X, axis=1))[:, None]
     X[:500] *= rmax / np.linalg.norm(X[:500], axis=1)[:, None]  # the rim itself
-    r = np.linalg.norm(X, axis=1)
-    coords = [np.arctanh(r)] + ([np.arccos(X[:, 2] / r)] if n == 3 else [])
-    coords = np.column_stack(coords + [np.mod(np.arctan2(X[:, 1], X[:, 0]), 2 * np.pi)])
+    # hyperspherical angles: cos phi_j is x_{n-j+1} / |(x_1, ..., x_{n-j+1})|
+    # for j <= n - 2, and phi_{n-1} is the azimuth of (x_1, x_2)
+    polar = [np.arctan2(np.linalg.norm(X[:, :n - j], axis=1), X[:, n - j])
+             for j in range(1, n - 1)]
+    coords = np.column_stack([np.arctanh(np.linalg.norm(X, axis=1))] + polar
+                             + [np.mod(np.arctan2(X[:, 1], X[:, 0]), 2 * np.pi)])
     for x, c in zip(X, coords):
         box = np.flatnonzero(np.all((lo <= c + 1e-12) & (c <= hi + 1e-12), axis=1))[0]
         assert ge.rho(x, centres[box]) <= eps[box] + 1e-12

@@ -57,6 +57,7 @@ def test_measure_json_schema_errors():
         '"values": [1, 2]': "/density/radii",
         '"radii": [0, 1]': "/density/values",
         '"radii": [[0, 1]], "values": [1, 2]': "/density/radii",
+        '"radii": ["0", "1"], "values": [1, 2]': "/density/radii",
         '"radii": [0, 0.5, 1], "values": [1, 2]': "/density/radii",
         '"radii": [0], "values": [1]': "/density/radii",
         '"radii": [0, 0.5, 0.5], "values": [1, 2, 3]': "/density/radii",
@@ -75,6 +76,35 @@ def test_measure_json_schema_errors():
     with pytest.raises(ValueError, match="/density/scale"):
         me.measure_from_json('{"n": 2, "atoms": [], "density": '
                              '{"kind": "power-weight", "scale": -0.5}}')
+    docs = {
+        '{"n": 1, "atoms": []}': "/n",
+        '{"n": 2.5, "atoms": []}': "/n",
+        '{"n": "2", "atoms": []}': "/n",
+        '{"n": true, "atoms": []}': "/n",
+        '{"n": 2, "atoms": {}}': "/atoms",
+        '{"n": 2, "atoms": [5]}': "/atoms/0",
+        '{"n": 2, "atoms": [{"w": 1}]}': "/atoms/0/x",
+        '{"n": 2, "atoms": [{"x": [0, 0], "w": 1}, {"x": [0, 0]}]}': "/atoms/1/w",
+        '{"n": 2, "atoms": [{"x": [0.1], "w": 1}]}': "/atoms/0/x",
+        '{"n": 2, "atoms": [{"x": [0.1, 0, 0], "w": 1}]}': "/atoms/0/x",
+        '{"n": 2, "atoms": [{"x": [0.1, NaN], "w": 1}]}': "/atoms/0/x",
+        '{"n": 2, "atoms": [{"x": 0.1, "w": 1}]}': "/atoms/0/x",
+        '{"n": 2, "atoms": [{"x": ["0.1", "0"], "w": 1}]}': "/atoms/0/x",
+        '{"n": 2, "atoms": [{"x": [0, 0], "w": "1"}]}': "/atoms/0/w",
+        '{"n": 2, "atoms": [{"x": [0, 0], "w": NaN}]}': "/atoms/0/w",
+        '{"n": 2, "atoms": [{"x": [0, 0], "w": 0}]}': "/atoms/0/w",
+        '{"n": 2, "atoms": [{"x": [0, 0], "w": -1}]}': "/atoms/0/w",
+        '{"n": 2, "atoms": [{"x": [0, 0], "w": null}]}': "/atoms/0/w",
+        '{"n": 2, "atoms": [], "density": 5}': "/density",
+    }
+    for doc, path in docs.items():
+        with pytest.raises(ValueError, match=path):
+            me.measure_from_json(doc)
+    for field, value in (("scale", "null"), ("scale", "NaN"), ("scale", "Infinity"),
+                         ("scale", '"1"'), ("exponent", "NaN"), ("exponent", "null")):
+        with pytest.raises(ValueError, match=f"/density/{field}"):
+            me.measure_from_json('{"n": 2, "atoms": [], "density": '
+                                 f'{{"kind": "power-weight", "{field}": {value}}}}}')
 
 
 def test_measure_of_pseudoball_atoms():
