@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre, hyp2f1
+from scipy.special import roots_jacobi, hyp2f1
 
 from . import kernelcore as kc
 from ._backend import zonal_series
@@ -176,19 +176,6 @@ def _polar(n: int, r, wr, level: int):
     return (r[:, None, None] * dirs[None, :, :]).reshape(-1, n), np.outer(wr, wd).ravel()
 
 
-def ball_rule(center, radius: float, level: int):
-    """Polar rule about center on the Euclidean ball of that radius.
-
-    Gauss-Legendre in r on [0, radius] times sphere_rule; weights
-    n w_r r^(n-1) w_dir integrate against the normalized volume measure.
-    """
-    n = center.shape[0]
-    t, wt = roots_legendre(level)
-    r = radius * (t + 1.0) / 2.0
-    pts, w = _polar(n, r, n * wt * radius / 2.0 * r ** (n - 1), level)
-    return center + pts, w
-
-
 def quadrature_build(n: int, weight_exponent: float, level: int = 64) -> QuadratureRule:
     """Product rule integrating against the normalized weighted volume measure.
 
@@ -287,15 +274,21 @@ def inner_product_u_closed(alpha: float, s: float, u: float,
 
 
 def project(Phi: float, f: HarmonicPolynomial, x,
-            rule: QuadratureRule | None = None, tol: float = 1e-10) -> float:
-    """Kernel projection integral at x; reproduces harmonic polynomials."""
+            rule: QuadratureRule | None = None, tol: float = 1e-10):
+    """Kernel projection integral at x; reproduces harmonic polynomials.
+
+    x of shape (N, n) gives an (N,) array: f is evaluated on the rule once,
+    and each point takes one kernel row.
+    """
     if Phi <= -1.0:
         raise ParameterError("weight exponent > -1", f"Phi = {Phi} <= -1")
     if rule is None:
         rule = quadrature_build(f.n, Phi)
     x = np.asarray(x, dtype=np.float64)
-    kvals = kc.kernel_eval_batch(f.n, Phi, x, rule.points, tol)
-    return float(np.dot(rule.weights, kvals * evaluate_batch(f, rule.points)))
+    fv = evaluate_batch(f, rule.points)
+    out = np.array([np.dot(rule.weights, kc.kernel_eval_batch(f.n, Phi, xi, rule.points, tol)
+                           * fv) for xi in np.atleast_2d(x)])
+    return float(out[0]) if x.ndim == 1 else out
 
 
 # --------------------------------------------------------------------------

@@ -132,16 +132,14 @@ def cmd_measure(args):
         _emit(args, _json({"x": x, "Phi": args.phi, "alpha": args.alpha,
                            "value": val}))
     else:  # averaging
-        radii = _floats(args.radii)
-        lines = ["r,theta,value"]
-        for r in radii:
-            for j in range(args.angles):
-                th = 2.0 * np.pi * j / args.angles
-                x = np.zeros(mu.n)
-                x[:2] = r * np.array([np.cos(th), np.sin(th)])
-                val = me.averaging(mu, args.alpha, args.delta, x, args.level)
-                lines.append(f"{_fmt(r)},{_fmt(th)},{_fmt(val)}")
-        _emit(args, "\n".join(lines))
+        r, th = (g.ravel() for g in np.meshgrid(
+            _floats(args.radii), 2.0 * np.pi * np.arange(args.angles) / args.angles,
+            indexing="ij"))
+        X = np.zeros((r.size, mu.n))
+        X[:, 0], X[:, 1] = r * np.cos(th), r * np.sin(th)
+        vals = me.averaging(mu, args.alpha, args.delta, X, args.level)
+        lines = [f"{_fmt(a)},{_fmt(b)},{_fmt(v)}" for a, b, v in zip(r, th, vals)]
+        _emit(args, "\n".join(["r,theta,value"] + lines))
     return 0
 
 

@@ -184,22 +184,23 @@ def _density_from_json(d: dict) -> Density:
 # measure of a metric ball
 
 
-def measure_of_pseudoball(mu: Measure, ball: ge.PseudoBall, level: int = 32) -> float:
-    """Atomic part exactly, density part by polar quadrature over the ball."""
-    total = 0.0
+def measure_of_pseudoball(mu: Measure, ball: ge.PseudoBall, level: int = 32):
+    """Atoms by the Euclidean-ball test, summed atom by atom in list order;
+    the density by geometry.pseudoball_integral.  A float, or an (N,) array
+    for a ball of N centres."""
+    C = np.atleast_2d(ball.euclid_center)
+    total = np.zeros(C.shape[0])
     for x, w in mu.atoms:
-        if np.linalg.norm(x - ball.euclid_center) < ball.euclid_radius:
-            total += w
+        total += np.where(np.linalg.norm(x - C, axis=1) < ball.euclid_radius, w, 0.0)
     if mu.density is not None:
-        pts, w = ca.ball_rule(ball.euclid_center, ball.euclid_radius, level)
-        rr = np.sqrt(np.einsum("ij,ij->i", pts, pts))
-        vals = np.where(rr < 1.0, mu.density.radial(np.minimum(rr, 1.0 - 1e-15)), 0.0)
-        total += float(np.dot(w, vals))
-    return total
+        total += ge.pseudoball_integral(np.atleast_2d(ball.center_x), ball.delta,
+                                        lambda u: mu.density.radial(np.sqrt(1.0 - u)),
+                                        level)
+    return float(total[0]) if ball.center_x.ndim == 1 else total
 
 
-def averaging(mu: Measure, alpha: float, delta: float, x, level: int = 32) -> float:
-    """mu(E_delta(x)) / nu_alpha(E_delta(x))."""
+def averaging(mu: Measure, alpha: float, delta: float, x, level: int = 32):
+    """mu(E_delta(x)) / nu_alpha(E_delta(x)); x of shape (N, n) gives an (N,) array."""
     if alpha <= -1.0:
         raise ParameterError("alpha > -1", f"alpha = {alpha}")
     ball = ge.pseudoball(x, delta)
@@ -339,19 +340,15 @@ def carleson_statistic(mu: Measure, lam: float, alpha: float,
     n = mu.n
     pts = lattice.points
     om = 1.0 - np.einsum("ij,ij->i", pts, pts)
-    terms = np.empty(pts.shape[0])
-    for i in range(pts.shape[0]):
-        ball = ge.pseudoball(pts[i], lattice.delta)
-        muE = measure_of_pseudoball(mu, ball, level)
-        if lam >= 1.0:
-            terms[i] = muE / om[i] ** ((n + alpha) * lam)
-        else:
-            hat = muE / ge.weighted_ball_volume(alpha, ball, max(level, 32))
-            terms[i] = hat * om[i] ** ((n + alpha) * (1.0 - lam))
+    ball = ge.pseudoball(pts, lattice.delta)
+    muE = measure_of_pseudoball(mu, ball, level)
     if lam >= 1.0:
+        terms = muE / om ** ((n + alpha) * lam)
         value = float(terms.max())
         kind = "sup-statistic"
     else:
+        hat = muE / ge.weighted_ball_volume(alpha, ball, max(level, 32))
+        terms = hat * om ** ((n + alpha) * (1.0 - lam))
         ex = 1.0 / (1.0 - lam)
         value = float((terms**ex).sum() ** (1.0 / ex))
         kind = "lp-statistic"
@@ -391,13 +388,8 @@ def vanishing_profile(mu: Measure, lam: float, alpha: float,
                 "plain Carleson property; see carleson_statistic")
     pts = lattice.points
     rr = np.linalg.norm(pts, axis=1)
-    om = 1.0 - rr**2
-    stat = np.empty(pts.shape[0])
-    for i in range(pts.shape[0]):
-        ball = ge.pseudoball(pts[i], lattice.delta)
-        hat = (measure_of_pseudoball(mu, ball, level)
-               / ge.weighted_ball_volume(alpha, ball, max(level, 32)))
-        stat[i] = om[i] ** ((n + alpha) * (1.0 - lam)) * hat
+    stat = (1.0 - rr**2) ** ((n + alpha) * (1.0 - lam)) * averaging(
+        mu, alpha, lattice.delta, pts, level)
     maxima = np.zeros(len(shells) - 1)
     for j in range(len(shells) - 1):
         m = (rr >= shells[j]) & (rr < shells[j + 1])

@@ -382,8 +382,7 @@ def schatten_diagnostic(mu: me.Measure, spec: BasisSpec, p: float,
         return me.berezin2(mu, spec.Phi, spec.alpha, X)
 
     ber = me.transform_lp_norm(fld, p, -spec.n, lattice)
-    hats = np.array([me.averaging(mu, spec.alpha, lattice.delta, a)
-                     for a in lattice.points])
+    hats = me.averaging(mu, spec.alpha, lattice.delta, lattice.points)
     rr = np.linalg.norm(lattice.points, axis=1)
     tot = float((hats**p).sum())
     half = float((hats[rr <= 1.0 - math.sqrt(1.0 - lattice.rmax)] ** p).sum())

@@ -287,12 +287,12 @@ def suite_carleson():
     radii = 1.0 - np.geomspace(0.3, 0.005, 8)
     theta = 2 * np.pi * np.arange(6) / 6
     dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    X = (radii[:, None, None] * dirs[None]).reshape(-1, n)
     for name, mu in measures.items():
         cls = []
         for delta in (0.3, 0.5, 0.7):
-            prof = np.array([
-                np.mean([me.averaging(mu, alpha, delta, r * d, level=16)
-                         for d in dirs]) for r in radii])
+            prof = me.averaging(mu, alpha, delta, X, level=16).reshape(
+                len(radii), -1).mean(axis=1)
             tail = prof[-4:]
             if np.all(tail < 1e-12):
                 finite = True          # compact metric support
@@ -311,12 +311,10 @@ def suite_carleson():
     ok32 = ok33 = True
     for name in ("atoms-inner", "volume", "decaying"):
         mu = measures[name]
-        e1 = np.zeros(2)
-        e1[0] = 1.0
-        hat = [me.averaging(mu, alpha, 0.5, r * e1, level=16) for r in radii]
-        til = [me.berezin2(mu, alpha + 2.0, alpha, r * e1) for r in radii]
-        bar = [me.berezin_type(mu, alpha, 1.0, r * e1, level=64)
-               for r in radii]
+        X = np.outer(radii, [1.0, 0.0])
+        hat = me.averaging(mu, alpha, 0.5, X, level=16)
+        til = me.berezin2(mu, alpha + 2.0, alpha, X)
+        bar = [me.berezin_type(mu, alpha, 1.0, x, level=64) for x in X]
         cls = [_growth_classify(v) for v in (hat, til, bar)]
         ok32 &= len(set(cls)) == 1
         gamma = 0.5
@@ -357,8 +355,7 @@ def suite_carleson():
         pts = (ball.euclid_center[None, None, :] + rad[:, None, None]
                * np.stack([np.cos(t), np.sin(t)], axis=1)[None, :, :]
                ).reshape(-1, 2)
-        g = np.array([me.measure_of_pseudoball(mu, ge.pseudoball(y, delta)) ** pp
-                      for y in pts])
+        g = me.measure_of_pseudoball(mu, ge.pseudoball(pts, delta)) ** pp
         wy = (1.0 - np.einsum("ij,ij->i", pts, pts)) ** alpha
         dens = (g * wy).reshape(len(rad), -1).mean(axis=1)
         # integral over the Euclidean ball against nu_alpha
@@ -401,9 +398,7 @@ def suite_toeplitz():
     from scipy.linalg import eigh as geigh
     mur = me.Measure(2, [], me.Density("power-weight", alpha + 1.0, 0.9))
     grid = np.linspace(0.0, 0.97, 40)
-    e1 = np.array([1.0, 0.0])
-    hat_vals = np.array([me.averaging(mur, alpha, 0.5, r * e1, level=24)
-                         for r in grid])
+    hat_vals = me.averaging(mur, alpha, 0.5, np.outer(grid, [1.0, 0.0]), level=24)
     hat_density = me.Density("tabulated-radial", 0.0, 1.0, grid,
                              hat_vals * (1.0 - grid**2) ** alpha
                              / kc.v_alpha(2, alpha))

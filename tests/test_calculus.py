@@ -139,6 +139,15 @@ def test_projection_reproduces():
         assert got == pytest.approx(ca.evaluate(f, x), rel=1e-9, abs=1e-11)
 
 
+def test_projection_array_equals_scalars():
+    rng = np.random.default_rng(14)
+    rule = ca.quadrature_build(3, 0.5, 16)
+    f = ca.random_polynomial(3, 4, 32)
+    X = rng.uniform(-0.4, 0.4, (5, 3))
+    assert np.array_equal(ca.project(0.5, f, X, rule),
+                          [ca.project(0.5, f, x, rule) for x in X])
+
+
 def test_projection_flag():
     # projection requires Phi > -1
     rule = ca.quadrature_build(2, 0.5, 16)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -60,6 +61,30 @@ def test_bracket_scan_runs(capsys):
     assert "# slope=" in out
 
 
+# seed-101 point pairs of the benchmark's kernel-scans workload, and the
+# stdout each gave when pinned; a change meant to move this output updates
+# the pin and says so
+_EVAL_PINS = [
+    ("0.8717052783674617,-0.3070540055739413", "0.5078055899037621,-0.8162292587709897",
+     307, "9.851159584742602e-13", "-3.645986654425714"),
+    ("-0.24944016355726734,-0.8733995219576552", "0.3471228838074293,-0.8888358337351667",
+     252, "8.901156341607541e-13", "-3.5934762827530315"),
+    ("0.6075686877349812,0.7373989468407072", "0.24112142628057176,-0.8800852480834925",
+     263, "9.48537045105587e-13", "-0.542298564803284"),
+    ("0.7425270701987614,-0.5952639490691324", "0.7159449599300495,-0.5955296751787182",
+     301, "9.177071942083026e-13", "144.32153470768532"),
+]
+
+
+def test_kernel_eval_output_pinned(capsys):
+    for x, y, terms, bound, value in _EVAL_PINS:
+        code, out, _ = run(capsys, ["kernel", "eval", "--n", "2", "--alpha", "0",
+                                    "--tol", "1e-12", f"--x={x}", f"--y={y}"])
+        assert code == 0
+        assert out == (f'{{\n  "terms_used": {terms},\n  "truncation_bound": {bound},'
+                       f'\n  "value": {value}\n}}\n')
+
+
 def test_lattice_json_and_determinism(capsys, tmp_path):
     argv = ["lattice", "--delta", "0.6", "--horizon", "0.9"]
     f1, f2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
@@ -76,6 +101,22 @@ def test_lattice_bad_delta_exit2(capsys):
     code, _, err = run(capsys, ["lattice", "--delta", "1.5"])
     assert code == 2
     assert "[violates Lemma 2.5]" in err
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("horizon", [0.5 - 1e-6, 0.5, 0.5 + 1e-6])
+def test_lattice_horizon_at_delta_ends(capsys, n, horizon):
+    # the delta-ball of the origin ends on or near the horizon sphere: the
+    # fill must build with every audit passing (exit 0) or refuse over its
+    # box budget, and inside the origin's ball it must build
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, ["lattice", "--n", str(n), "--delta", "0.5",
+                                "--horizon", repr(horizon)])
+    assert time.perf_counter() - t0 < 10.0
+    if horizon < 0.5:
+        assert code == 0
+    else:
+        assert code == 0 or (code == 2 and "budget" in err)
 
 
 def test_unimplemented_dimension_exit2(capsys, tmp_path):

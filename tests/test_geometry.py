@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -84,6 +85,61 @@ def test_weighted_ball_volume_center_oracle():
     assert got == pytest.approx(betainc(1.0, alpha + 1.0, 0.36), rel=1e-10)
 
 
+def _rows(rng, n, m, rmax):
+    """m points of the ball, the origin and |x| = rmax among them."""
+    A = rng.normal(size=(m, n))
+    mods = np.concatenate([[0.0, rmax], rng.uniform(0.0, rmax, m - 2)])
+    return A * (mods / np.linalg.norm(A, axis=1))[:, None]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_pseudoball_integral_nu0_closed_form(n):
+    # nu(E_delta(a)) = (delta (1 - |a|^2) / (1 - delta^2 |a|^2))^n, from the
+    # array and from each scalar centre
+    A = _rows(np.random.default_rng(60 + n), n, 40, 0.999)
+    r2 = np.einsum("ij,ij->i", A, A)
+    for delta in (0.3, 0.5, 0.9):
+        exact = (delta * (1.0 - r2) / (1.0 - delta**2 * r2)) ** n
+        ones = ge.pseudoball_integral(A, delta, np.ones_like, 24)
+        assert np.allclose(ones, exact, rtol=1e-13, atol=0.0)
+        got = ge.weighted_ball_volume(0.0, ge.pseudoball(A, delta), 24)
+        assert np.allclose(got, exact, rtol=1e-13, atol=0.0)
+        for a, e in zip(A[:6], exact[:6]):
+            assert ge.weighted_ball_volume(0.0, ge.pseudoball(a, delta), 24) == \
+                pytest.approx(e, rel=1e-13)
+
+
+def _polar_reference(a, delta, alpha, m):
+    """nu_alpha(E_delta(a)) by a plain polar rule about the Euclidean centre:
+    m Gauss-Legendre radii, and 2m equispaced azimuths (times m Gauss-Legendre
+    nodes in cos(theta) for n = 3); V_alpha from Gamma values."""
+    ball = ge.pseudoball(a, delta)
+    n, R = a.shape[0], ball.euclid_radius
+    x, wx = np.polynomial.legendre.leggauss(m)
+    s = R * (x + 1.0) / 2.0
+    ws = n * s ** (n - 1) * wx * R / 2.0
+    phi = np.pi * np.arange(2 * m) / m
+    dirs, wd = np.stack([np.cos(phi), np.sin(phi)], axis=1), np.full(2 * m, 0.5 / m)
+    if n == 3:
+        st = np.sqrt(1.0 - x**2)
+        dirs = np.concatenate([(st[:, None, None] * dirs[None]).reshape(-1, 2),
+                               np.repeat(x, 2 * m)[:, None]], axis=1)
+        wd = np.outer(wx / 2.0, wd).ravel()
+    Y = ball.euclid_center + (s[:, None, None] * dirs[None]).reshape(-1, n)
+    u = 1.0 - np.einsum("ij,ij->i", Y, Y)
+    v = math.gamma(n / 2 + 1) * math.gamma(alpha + 1) / math.gamma(n / 2 + alpha + 1)
+    return float(np.outer(ws, wd).ravel() @ u**alpha) / v
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("alpha", [-0.5, 1.5])
+def test_weighted_ball_volume_matches_polar_reference(n, alpha):
+    A = _rows(np.random.default_rng(70 + n), n, 8, 0.99)
+    got = ge.weighted_ball_volume(alpha, ge.pseudoball(A, 0.5), 48)
+    ref = np.array([_polar_reference(a, 0.5, alpha, 64) for a in A])
+    assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
 def test_lemma22_bracket_bounds_random():
     rng = np.random.default_rng(25)
     m = 20_000
@@ -155,6 +211,34 @@ def test_lattice_fill_covers_six_seeds():
         uncovered, mult = ge.lattice_coverage(lat, samples=4000, seed=seed)
         assert uncovered == 0
         assert mult <= lat.multiplicity_bound
+
+
+def _coverage_loop_reference(lat, samples, seed):
+    """The per-sample audit: each sample's conflict-radius neighbours from a
+    cKDTree, then rho < delta against them."""
+    from scipy.spatial import cKDTree
+    rng = np.random.default_rng(seed)
+    dirs = rng.normal(size=(samples, lat.n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    X = (lat.rmax * rng.uniform(size=samples) ** (1.0 / lat.n))[:, None] * dirs
+    tree = cKDTree(lat.points)
+    uncovered = maxmult = 0
+    for x in X:
+        idx = tree.query_ball_point(x, float(ge._conflict_radius(lat.delta, 1.0 - x @ x)))
+        mult = int(np.sum(ge.rho_batch(x, lat.points[idx]) < lat.delta)) if idx else 0
+        uncovered += mult == 0
+        maxmult = max(maxmult, mult)
+    return uncovered, maxmult
+
+
+@pytest.mark.parametrize("n, delta, rmax", [(2, 0.5, 0.9), (3, 0.6, 0.85), (4, 0.5, 0.6)])
+def test_coverage_matches_loop_reference(n, delta, rmax):
+    lat = ge.lattice_gen(n, delta, rmax)
+    for seed in (0, 1, 2):
+        assert ge.lattice_coverage(lat, 4000, seed) == _coverage_loop_reference(lat, 4000, seed)
+    # a lattice of the origin alone leaves most samples uncovered
+    lone = ge.Lattice(n, delta, rmax, 64, np.zeros((1, n)))
+    assert ge.lattice_coverage(lone, 4000, 0) == _coverage_loop_reference(lone, 4000, 0)
 
 
 @pytest.mark.parametrize("n, delta, rmax", [(2, 0.5, 0.9), (3, 0.5, 0.7)])

@@ -116,6 +116,45 @@ def test_measure_of_pseudoball_atoms():
     assert me.measure_of_pseudoball(mu, big) == 3.0
 
 
+def test_tabulated_density_ball_mass_matches_product_rule():
+    # a piecewise-linear table converges only algebraically; the reference is
+    # a Gauss-Legendre radius rule about the Euclidean centre times
+    # calculus.sphere_rule at level 256 (1.3e-5 from its level-128 value),
+    # and the level-128 (s, t) rule was measured 1.3e-5 from it
+    from scipy.special import roots_legendre
+    dens = me.Density("tabulated-radial", 0.5, 1.0, np.array([0.0, 0.3, 0.6, 0.8, 1.0]),
+                      np.array([1.0, 2.0, 0.5, 1.5, 1.0]))
+    X = np.array([[0.0, 0.0], [0.35, 0.0], [0.7 * np.cos(1.0), 0.7 * np.sin(1.0)], [0.95, 0.0]])
+    got = me.measure_of_pseudoball(me.Measure(2, [], dens), ge.pseudoball(X, 0.5), 128)
+    t, wt = roots_legendre(256)
+    dirs, wd = ca.sphere_rule(2, 256)
+    for x, g in zip(X, got):
+        ball = ge.pseudoball(x, 0.5)
+        r = ball.euclid_radius * (t + 1.0) / 2.0
+        Y = ball.euclid_center + (r[:, None, None] * dirs[None]).reshape(-1, 2)
+        w = np.outer(wt * ball.euclid_radius * r, wd).ravel()
+        ref = float(w @ dens.radial(np.sqrt(np.einsum("ij,ij->i", Y, Y))))
+        assert g == pytest.approx(ref, rel=3e-5)
+
+
+def test_ball_statistics_array_equals_scalars():
+    rng = np.random.default_rng(32)
+    for n in (2, 3, 4):
+        X = rng.normal(size=(120, n))
+        X *= (rng.uniform(0.0, 0.99, 120) / np.linalg.norm(X, axis=1))[:, None]
+        got = ge.weighted_ball_volume(1.5, ge.pseudoball(X, 0.6), 48)
+        assert np.array_equal(got, [ge.weighted_ball_volume(1.5, ge.pseudoball(x, 0.6), 48)
+                                    for x in X])
+        mu = me.Measure(n, [(0.5 * X[0], 1.0), (0.3 * X[1], 0.5)],
+                        me.Density("tabulated-radial", 0.5, 2.0, np.linspace(0.0, 1.0, 5),
+                                   np.arange(5.0) + 1.0))
+        got = me.measure_of_pseudoball(mu, ge.pseudoball(X, 0.5), 24)
+        assert np.array_equal(got, [me.measure_of_pseudoball(mu, ge.pseudoball(x, 0.5), 24)
+                                    for x in X])
+        got = me.averaging(mu, -0.5, 0.5, X, 24)
+        assert np.array_equal(got, [me.averaging(mu, -0.5, 0.5, x, 24) for x in X])
+
+
 def test_averaging_of_volume_measure_is_one():
     mu = me.nu_alpha_measure(2, 0.7)
     rng = np.random.default_rng(31)
