@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import roots_jacobi, hyp2f1
 
 from . import kernelcore as kc
 from ._backend import zonal_series
@@ -136,6 +135,7 @@ def _radial_rule(n: int, alpha: float, m: int):
     Integrates g(r) against (n/V_alpha) (1-r^2)^alpha r^{n-1} dr on (0, 1)
     exactly for g polynomial in r^2 of degree <= 2m-1; weights sum to 1.
     """
+    from scipy.special import roots_jacobi
     xj, wj = roots_jacobi(m, alpha, n / 2.0 - 1.0)
     u = (xj + 1.0) / 2.0
     scale = (n / (2.0 * kc.v_alpha(n, alpha))) * 2.0 ** (-(alpha + n / 2.0))
@@ -158,6 +158,7 @@ def sphere_rule(n: int, level: int):
     dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     w = np.full(M, 1.0 / M)
     for d in range(3, n + 1):
+        from scipy.special import roots_jacobi
         t, wt = roots_jacobi(level, (d - 3) / 2.0, (d - 3) / 2.0)
         st = np.sqrt(1.0 - t**2)
         dirs = np.concatenate([(st[:, None, None] * dirs[None]).reshape(-1, d - 1),
@@ -416,6 +417,7 @@ def _bracket_angular_mean(n: int, sigma: float, q):
     Equals 2F1(sigma/2, sigma/2 - nu; n/2; q^2) with nu = (n-2)/2, by the
     Gegenbauer generating function; q may be an array.
     """
+    from scipy.special import hyp2f1
     nu = (n - 2) / 2.0
     return hyp2f1(sigma / 2.0, sigma / 2.0 - nu, n / 2.0, np.square(q))
 

@@ -5,12 +5,14 @@ Subcommands: kernel (eval / norm-scan / bracket-scan), lattice, measure
 schatten / intertwine / bounded), verify.  Reports are JSON, scan tables CSV;
 identical arguments (including --seed) produce byte-identical output.
 
-Exit codes: 0 success, 1 failed verification/audit, 2 invalid parameters
-or a dimension the command does not implement.
+Exit codes: 0 success, 1 failed verification/audit or a report that would
+print NaN or +-inf (nothing goes to stdout then), 2 invalid parameters or a
+dimension the command does not implement.
 """
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -32,7 +34,52 @@ def _floats(text):
     return [float(v) for v in text.split(",")]
 
 
+class NonFiniteError(ArithmeticError):
+    """A report would print NaN or +-inf."""
+
+
+def _nonfinite_json(obj, path=""):
+    """'key.path = value' of the first NaN or +-inf in parsed JSON, or None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else f"{path} = {obj}"
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for k, v in items:
+        hit = _nonfinite_json(v, f"{path}[{k}]" if isinstance(k, int)
+                              else f"{path}.{k}" if path else k)
+        if hit:
+            return hit
+    return None
+
+
+def _nonfinite_csv(text):
+    """'column at first-column=value' of the first NaN or +-inf in a CSV table
+    (header line optional, '# key=value' footer), or None."""
+    head = None
+    for i, line in enumerate(text.splitlines()):
+        if line.startswith("#"):
+            for key, v in (f.split("=", 1) for f in line[1:].split()):
+                if not math.isfinite(float(v)):
+                    return f"{key} = {v}"
+            continue
+        cells = line.split(",")
+        try:
+            vals = [float(c) for c in cells]
+        except ValueError:
+            head = cells
+            continue
+        for j, v in enumerate(vals):
+            if not math.isfinite(v):
+                where = f"{head[0]}={cells[0]}" if head else f"row {i}"
+                return f"{head[j] if head else f'column {j}'} at {where} = {v}"
+    return None
+
+
 def _emit(args, text):
+    hit = (_nonfinite_json(json.loads(text)) if text.startswith(("{", "["))
+           else _nonfinite_csv(text))
+    if hit:
+        raise NonFiniteError(hit)
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
@@ -325,6 +372,9 @@ def main(argv=None):
     except NotImplementedError as exc:
         print(f"not implemented: {exc}", file=sys.stderr)
         return 2
+    except NonFiniteError as exc:
+        print(f"non-finite result: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

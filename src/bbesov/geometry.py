@@ -5,8 +5,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.special import roots_jacobi, roots_legendre
 
 from . import kernelcore as kc
 
@@ -29,8 +27,7 @@ def bracket_batch(x, Y) -> np.ndarray:
 
 def mobius(a, x) -> np.ndarray:
     """Involutive Mobius map of the ball exchanging a and 0."""
-    a = np.asarray(a, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
+    a, x = np.asarray(a, dtype=np.float64), np.asarray(x, dtype=np.float64)
     d = a - x
     b2 = 1.0 - 2.0 * float(np.dot(x, a)) + float(np.dot(x, x)) * float(np.dot(a, a))
     return ((1.0 - float(np.dot(a, a))) * d + float(np.dot(d, d)) * a) / b2
@@ -87,6 +84,7 @@ def pseudoball_integral(A: np.ndarray, delta: float, f, level: int) -> np.ndarra
     (0, R), weight n s^(n-1), times Gauss-Jacobi((n-3)/2, (n-3)/2) in t, the
     law of t on the sphere.  Exact for constant f; rows go in ~256 KB blocks.
     """
+    from scipy.special import roots_jacobi, roots_legendre
     ball = pseudoball(np.asarray(A, dtype=np.float64), delta)
     n = ball.center_x.shape[1]
     c, R = np.linalg.norm(ball.euclid_center, axis=1), ball.euclid_radius
@@ -173,6 +171,14 @@ def _root_net(n: int, rmax: float, h: float):
     return lo, hi
 
 
+def _near(B: np.ndarray, P: np.ndarray, delta: float) -> np.ndarray:
+    """Mask of the rows of P within the conflict radius of some row of B."""
+    mid = (B.max(axis=0) + B.min(axis=0)) / 2.0
+    reach = (np.linalg.norm(B - mid, axis=1).max()
+             + _conflict_radius(delta, 1.0 - np.einsum("ij,ij->i", B, B).min()))
+    return np.linalg.norm(P - mid, axis=1) <= reach * (1.0 + 1e-12)
+
+
 def _min_rho(X: np.ndarray, P: np.ndarray, delta: float) -> np.ndarray:
     """min(delta, rho(x, P)) for each row x of X, in blocks of about 1 MB; a
     block meets only the points of P within the conflict radius of its ball."""
@@ -180,10 +186,7 @@ def _min_rho(X: np.ndarray, P: np.ndarray, delta: float) -> np.ndarray:
     rows = max(1, (1 << 17) // max(1, P.shape[0]))
     for s in range(0, X.shape[0], rows):
         B = X[s:s + rows]
-        mid = (B.max(axis=0) + B.min(axis=0)) / 2.0
-        reach = (np.linalg.norm(B - mid, axis=1).max()
-                 + _conflict_radius(delta, 1.0 - np.einsum("ij,ij->i", B, B).min()))
-        near = P[np.linalg.norm(P - mid, axis=1) <= reach * (1.0 + 1e-12)]
+        near = P[_near(B, P, delta)]
         if near.shape[0]:
             out[s:s + rows] = np.minimum(out[s:s + rows], rho_batch(B, near).min(axis=1))
     return out
@@ -265,16 +268,18 @@ def lattice_gen(n: int, delta: float, rmax: float,
 
 
 def lattice_separation(lat: Lattice) -> float:
-    """Minimum pairwise metric distance (full audit, neighbor-accelerated)."""
-    pts = lat.points
-    tree = cKDTree(pts)
-    one_minus = 1.0 - np.einsum("ij,ij->i", pts, pts)
-    rads = _conflict_radius(lat.delta * 1.05, one_minus)
-    best = 1.0
-    for i in range(pts.shape[0]):
-        idx = [j for j in tree.query_ball_point(pts[i], float(rads[i])) if j > i]
-        if idx:
-            best = min(best, float(np.min(rho_batch(pts[i], pts[idx]))))
+    """Minimum pairwise metric distance: exact whenever below 1.05 delta, else
+    some value >= 1.05 delta (1.0 for one point).  Rows go in ~256 KB blocks,
+    each against the later points within its conflict radius at 1.05 delta."""
+    P, best = lat.points, 1.0
+    rows = max(1, (1 << 15) // P.shape[0])
+    for s in range(0, P.shape[0], rows):
+        B = P[s:s + rows]
+        j = s + 1 + np.flatnonzero(_near(B, P[s + 1:], min(1.05 * lat.delta, 1.0 - 1e-9)))
+        if j.size:
+            d = rho_batch(B, P[j])
+            d[j[None, :] <= np.arange(s, s + B.shape[0])[:, None]] = np.inf
+            best = min(best, float(d.min()))
     return best
 
 
@@ -287,8 +292,7 @@ def lattice_coverage(lat: Lattice, samples: int = 10_000, seed: int = 0):
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(samples, lat.n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    r = lat.rmax * rng.uniform(size=samples) ** (1.0 / lat.n)
-    X = r[:, None] * dirs
+    X = (lat.rmax * rng.uniform(size=samples) ** (1.0 / lat.n))[:, None] * dirs
     mult = np.zeros(samples, dtype=np.int64)
     rows = max(1, (1 << 15) // lat.points.shape[0])
     for s in range(0, samples, rows):
@@ -297,13 +301,9 @@ def lattice_coverage(lat: Lattice, samples: int = 10_000, seed: int = 0):
 
 
 def lattice_to_json(lat: Lattice) -> str:
-    doc = {
-        "n": lat.n,
-        "delta": lat.delta,
-        "rmax": lat.rmax,
-        "multiplicity_bound": lat.multiplicity_bound,
-        "points": [[float(v) for v in p] for p in lat.points],
-    }
+    doc = {"n": lat.n, "delta": lat.delta, "rmax": lat.rmax,
+           "multiplicity_bound": lat.multiplicity_bound,
+           "points": [[float(v) for v in p] for p in lat.points]}
     return json.dumps(doc, indent=None, separators=(",", ":"))
 
 

@@ -7,7 +7,8 @@ parameter ``alpha`` on the unit ball of R^n is the series
 
 over extended zonal harmonics Z_k.  Everything here is a pure function of
 immutable inputs; coefficient caches are append-only arrays guarded by the
-GIL (single-writer growth, concurrent reads safe).
+GIL (single-writer growth, concurrent reads safe).  The gamma cache keeps
+at most GAMMA_CACHE_KEYS (n, alpha) keys and drops the oldest first.
 """
 
 import math
@@ -23,6 +24,7 @@ DEFAULT_MAX_TERMS = 100_000
 # Test-only fault injection, read once at import (see gamma_coeffs).
 _FAULT = os.environ.get("BBESOV_FAULT")
 
+GAMMA_CACHE_KEYS = 1024  # `verify all` ends with 118 keys (0.72 MB)
 _gamma_cache: dict = {}
 _hdim_cache: dict = {}
 
@@ -73,6 +75,8 @@ def _gamma_array(n: int, alpha: float, kmax: int) -> np.ndarray:
         for k in range(m - 1, size - 1):
             new[k + 1] = new[k] * _gamma_ratio(n, alpha, k)
         new.setflags(write=False)  # callers get views of the shared cache
+        if key not in _gamma_cache and len(_gamma_cache) >= GAMMA_CACHE_KEYS:
+            del _gamma_cache[next(iter(_gamma_cache))]
         arr = new
         _gamma_cache[key] = arr
     return arr

@@ -1,9 +1,14 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+from bbesov import calculus as ca
 from bbesov import kernelcore as kc
 from bbesov import measures as me
 from bbesov import verify as vf
@@ -293,3 +298,75 @@ def test_verify_unknown_suite_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "bogus"])
     assert exc.value.code == 2
+
+
+_SCIPY_PROBE = """
+import json, sys
+from bbesov.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+print(json.dumps([m for m in ("scipy.special", "scipy.spatial") if m in sys.modules]))
+"""
+
+
+def _scipy_loaded_after(argvs):
+    """The scipy submodules one child interpreter holds after main(argv) for
+    each argv; the child inherits the caller's environment, with the bbesov
+    under test first on its path."""
+    import bbesov
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(bbesov.__file__)))
+    env = dict(os.environ)
+    env.pop("BBESOV_FAULT", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(argvs)],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_cli_starts_without_scipy(tmp_path):
+    nu2 = write_measure(tmp_path, me.Measure(
+        2, [], me.Density("power-weight", 0.5, 1.0 / kc.v_alpha(2, 0.5))), "nu2.json")
+    mu3 = write_measure(tmp_path, me.Measure(
+        3, [(np.array([0.3, -0.2, 0.1]), 0.7), (np.array([-0.5, 0.1, 0.4]), 0.2)],
+        me.Density("power-weight", 0.5, 1.0)), "mu3.json")
+    out = str(tmp_path / "out.txt")
+    free = [["kernel", "eval", "--n", "2", "--alpha", "0", "--x=0.3,0.1", "--y=-0.2,0.5"],
+            ["kernel", "norm-scan", "--p", "2", "--alpha", "1", "--beta", "0",
+             "--radii", "0.9,0.95,0.98"],
+            ["lattice", "--n", "2", "--delta", "0.5", "--horizon", "0.7"],
+            ["toeplitz", "spectrum", "--file", nu2, "--alpha", "0.5", "--K", "8"],
+            ["toeplitz", "spectrum", "--file", mu3, "--n", "3", "--K", "6", "--level", "24"]]
+    assert _scipy_loaded_after([a + ["--output", out] for a in free]) == []
+    # the probe sees an import that does happen
+    carleson = ["measure", "carleson", "--file", mu3, "--lambda", "0.5", "--alpha", "0",
+                "--horizon", "0.7", "--output", out]
+    assert "scipy.special" in _scipy_loaded_after([carleson])
+
+
+def test_nonfinite_report_exits_1(capsys, monkeypatch, tmp_path):
+    real = ca.kernel_norm_scan
+
+    def scan(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.values[1] = np.nan
+        return res
+
+    monkeypatch.setattr(ca, "kernel_norm_scan", scan)
+    out = tmp_path / "scan.csv"
+    argv = ["kernel", "norm-scan", "--p", "2", "--alpha", "1", "--beta", "0",
+            "--radii", "0.9,0.95,0.98"]
+    assert run(capsys, argv) == (1, "", "non-finite result: value at r=0.95 = nan\n")
+    assert run(capsys, argv + ["--output", str(out)])[:2] == (1, "")
+    assert not out.exists()
+
+    real_eval = kc.kernel_eval
+    monkeypatch.setattr(kc, "kernel_eval", lambda *a: dataclasses.replace(
+        real_eval(*a), value=float("inf")))
+    assert run(capsys, ["kernel", "eval", "--alpha", "0", "--x=0.3,0.1", "--y=0,0.5"]) \
+        == (1, "", "non-finite result: value = inf\n")
+
+    monkeypatch.setattr(vf, "run", lambda suite: {
+        "ok": True, "checks": [{"name": "a", "value": 1.0}, {"name": "b", "value": -np.inf}]})
+    assert run(capsys, ["verify", "kernels"]) == (
+        1, "", "non-finite result: checks[1].value = -inf\n")

@@ -241,6 +241,38 @@ def test_coverage_matches_loop_reference(n, delta, rmax):
     assert ge.lattice_coverage(lone, 4000, 0) == _coverage_loop_reference(lone, 4000, 0)
 
 
+def _separation_pairs_reference(P):
+    best = 1.0
+    for i in range(len(P)):
+        for j in range(i + 1, len(P)):
+            best = min(best, ge.rho(P[i], P[j]))
+    return best
+
+
+def test_separation_matches_all_pairs():
+    """lattice_separation is the exact minimum over pairs whenever that is
+    below 1.05 delta, and otherwise some value >= 1.05 delta."""
+    rng = np.random.default_rng(7)
+    cloud = rng.normal(size=(200, 3))
+    cloud *= (0.6 * rng.uniform(size=200) ** (1 / 3) / np.linalg.norm(cloud, axis=1))[:, None]
+    cases = [ge.lattice_gen(*a) for a in [(2, 0.5, 0.9), (3, 0.6, 0.85), (4, 0.5, 0.6)]]
+    cases += [ge.Lattice(2, 0.5, 0.9, 64, np.zeros((1, 2))),
+              # 201 points span two blocks; the duplicate pair crosses them
+              ge.Lattice(3, 0.1, 0.6, 64, cloud),
+              ge.Lattice(3, 0.1, 0.6, 64, np.concatenate([cloud, cloud[3:4]])),
+              ge.Lattice(2, 0.5, 0.995, 64, np.array([[0.99, 0.0], [0.0, 0.99]])),
+              # 1.05 delta > 1: every pair is within reach
+              ge.Lattice(2, 0.97, 0.99, 64, np.array([[0.0, 0.0], [0.975, 0.0], [0.0, 0.98]]))]
+    for lat in cases:
+        got, ref = ge.lattice_separation(lat), _separation_pairs_reference(lat.points)
+        if ref < 1.05 * lat.delta:
+            assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
+        else:
+            assert got >= 1.05 * lat.delta
+    assert ge.lattice_separation(cases[3]) == 1.0
+    assert ge.lattice_separation(cases[5]) == 0.0
+
+
 @pytest.mark.parametrize("n, delta, rmax", [(2, 0.5, 0.9), (3, 0.5, 0.7)])
 def test_fill_greedy_step_matches_loop_reference(n, delta, rmax):
     # on the root-net centres, the vectorised greedy step takes exactly the

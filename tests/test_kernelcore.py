@@ -58,6 +58,18 @@ def test_gamma_coeffs_read_only():
     assert kc.gamma_coeffs(2, 0.75, 12)[3] == pytest.approx(expect, rel=1e-12)
 
 
+def test_gamma_cache_bounded_oldest_first(monkeypatch):
+    monkeypatch.setattr(kc, "_gamma_cache", {})
+    first = kc.gamma_coeffs(3, 0.123, 100).copy()
+    for i in range(2000):
+        kc.gamma_coeffs(3, 1.0 + i / 2000.0, 10)
+    assert len(kc._gamma_cache) <= 1024
+    assert (3, 0.123) not in kc._gamma_cache
+    again = kc.gamma_coeffs(3, 0.123, 100)
+    assert not again.flags.writeable
+    assert again.tobytes() == first.tobytes()
+
+
 def test_gamma_growth_exponent():
     # gamma_k ~ k^(1+alpha) on both branches
     for n, alpha in ((2, 1.5), (3, -3.0)):
