@@ -6,7 +6,6 @@ This representation is closed under the degree-diagonal operators used
 throughout (each degree is simply rescaled) and evaluable in any dimension.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,16 +166,6 @@ def sphere_rule(n: int, level: int):
     return dirs, w
 
 
-def _polar(n: int, r, wr, level: int):
-    """Points and weights of radial nodes r (weights wr) times sphere_rule(n, level)."""
-    size = r.size * (4 * level if n == 2 else 2 * level ** (n - 1))
-    if size > MAX_RULE_NODES:
-        raise ParameterError(f"at most {MAX_RULE_NODES} quadrature nodes",
-                             f"a level-{level} rule in R^{n} has {size} nodes")
-    dirs, wd = sphere_rule(n, level)
-    return (r[:, None, None] * dirs[None, :, :]).reshape(-1, n), np.outer(wr, wd).ravel()
-
-
 def quadrature_build(n: int, weight_exponent: float, level: int = 64) -> QuadratureRule:
     """Product rule integrating against the normalized weighted volume measure.
 
@@ -186,16 +175,14 @@ def quadrature_build(n: int, weight_exponent: float, level: int = 64) -> Quadrat
     if weight_exponent <= -1.0:
         raise ParameterError("weight exponent > -1",
                              f"weight exponent {weight_exponent} not integrable")
-    alpha = float(weight_exponent)
-    r, wr = _radial_rule(n, alpha, level)
-    return QuadratureRule(n, alpha, *_polar(n, r, wr, level))
-
-
-def integrate(rule: QuadratureRule, values) -> float:
-    """Integral of sampled values against the rule's normalized measure."""
-    if callable(values):
-        values = values(rule.points)
-    return float(np.dot(rule.weights, values))
+    size = level * (4 * level if n == 2 else 2 * level ** (n - 1))
+    if size > MAX_RULE_NODES:
+        raise ParameterError(f"at most {MAX_RULE_NODES} quadrature nodes",
+                             f"a level-{level} rule in R^{n} has {size} nodes")
+    r, wr = _radial_rule(n, float(weight_exponent), level)
+    dirs, wd = sphere_rule(n, level)
+    pts = (r[:, None, None] * dirs[None, :, :]).reshape(-1, n)
+    return QuadratureRule(n, float(weight_exponent), pts, np.outer(wr, wd).ravel())
 
 
 # --------------------------------------------------------------------------
@@ -218,7 +205,7 @@ def besov_norm(params: SpaceParams, f: HarmonicPolynomial,
     df = dts_apply(params.s, params.t, f)
     vals = np.abs(evaluate_batch(df, rule.points)) ** params.p
     pref = kc.v_alpha(params.n, w) / kc.v_alpha(params.n, params.alpha)
-    return float((pref * integrate(rule, vals)) ** (1.0 / params.p))
+    return float((pref * float(np.dot(rule.weights, vals))) ** (1.0 / params.p))
 
 
 def radial_moment(n: int, w: float, k: int) -> float:
@@ -242,7 +229,7 @@ def inner_product_u(alpha: float, s: float, u: float,
     dg = dts_apply(s, u, g)
     vals = evaluate_batch(df, rule.points) * evaluate_batch(dg, rule.points)
     pref = kc.v_alpha(f.n, Phi) / kc.v_alpha(f.n, alpha)
-    return pref * integrate(rule, vals)
+    return pref * float(np.dot(rule.weights, vals))
 
 
 def inner_product_u_closed(alpha: float, s: float, u: float,
@@ -347,35 +334,62 @@ def _kernel_power_integral_p2(n: int, alpha: float, r, moments):
     return float(out[0]) if r.ndim == 0 else out
 
 
-def _kernel_power_integral_fft(n: int, alpha: float, p: float, beta: float,
-                               r: float, level: int = 512,
-                               angular: int = 4096) -> float:
-    """n=2 path for general p: aliased angular series + Gauss-Jacobi radial."""
-    assert n == 2
-    prev = None
-    for _ in range(4):
-        rho, wr = _radial_rule(2, beta, level)
-        total = 0.0
-        for rho_i, w_i in zip(rho, wr):
-            q = r * rho_i
-            if q == 0.0:
-                total += w_i
-                continue
-            K = kc.plan_terms(2, alpha, q, 1e-12 * max(1.0, (1 - q) ** (-(2 + alpha))))
-            gam = kc.gamma_coeffs(2, alpha, K)
-            b = 2.0 * gam * q ** np.arange(K + 1)
-            b[0] = 1.0
-            B = np.zeros(angular, dtype=np.float64)
-            np.add.at(B, np.arange(K + 1) % angular, b)
-            fvals = np.fft.ifft(B).real * angular
-            total += w_i * float(np.mean(np.abs(fvals) ** p))
-        val = kc.v_alpha(2, beta) * total
-        if prev is not None and abs(val - prev) <= 1e-6 * abs(val):
+def _doubled(value, level: int, rel: float):
+    """value(m) at m = level, 2 level, ... until all entries agree to rel or m = 16 level."""
+    prev, m = None, level
+    while True:
+        val = value(m)
+        if prev is not None and np.all(np.abs(val - prev) <= rel * np.abs(val)) or m >= 16 * level:
             return val
-        prev = val
-        level *= 2
-        angular *= 2
-    return prev
+        prev, m = val, 2 * m
+
+
+def zonal_table(n: int, t, K: int, rows: int):
+    """Blocks (k0, T) of T[i, j] = Z_{k0+i}(t_j), degrees up to K, for unit
+    vectors with x.y = t_j: the recurrence of zonal_series at a2 = 1."""
+    nu = (n - 2) / 2.0
+    prev, cur = np.zeros_like(t), np.ones_like(t)  # S_{-1} = 0, S_0 = 1
+    for k0 in range(0, K + 1, rows):
+        T = np.empty((min(rows, K + 1 - k0), t.size))
+        for i, k in enumerate(range(k0, k0 + T.shape[0])):
+            if k:
+                ck = 2.0 if k <= 2 else (k + 2.0 * nu - 2.0) / (k + nu - 2.0)
+                prev, cur = cur, ((k + nu) / k) * (2.0 * t * cur - ck * prev)
+            T[i] = cur
+        yield k0, T
+
+
+def kernel_power_integral(n: int, alpha: float, p: float, radii, rule, level: int):
+    """int |R_alpha(x, y)|^p dmu(y) at |x| = r for each r in a 1-D radii, mu radial
+    with radial rule(m) -> (rho_i, W_i).  By Funk-Hecke the integrand is
+    sum_k gamma_k q^k Z_k(t) in q = r rho and t = cos of the angle to x: the
+    (radius, rho) rows, sorted by q, go in 256 KB blocks through one matmul
+    each with a zonal_table, using the terms that certify 1e-10 at the block's
+    largest q.  Nodes double from level radial x 2 level angle (_doubled, 1e-6).
+    """
+    def one_pass(m):
+        rho, W = rule(m)
+        from scipy.special import roots_legendre
+        # Gauss-Legendre in v, theta = pi v^3: graded toward the peak at theta = 0
+        v, wv = roots_legendre(2 * m)
+        theta = np.pi * ((v + 1.0) / 2.0) ** 3
+        wt = wv * (v + 1.0) ** 2 * np.sin(theta) ** (n - 2)
+        t, wt = np.cos(theta), wt / wt.sum()
+        q = np.outer(radii, rho).ravel()
+        order, mean = np.argsort(q), np.empty(q.size)
+        step = max(1, 32768 // t.size)
+        for s in range(0, q.size, step):
+            qb = q[order[s:s + step], None]
+            K = kc.plan_terms(n, alpha, float(qb[-1, 0]), 1e-10)
+            gam = kc.gamma_coeffs(n, alpha, K - 1)
+            F = np.zeros((qb.size, t.size))
+            for k0, T in zonal_table(n, t, K - 1, step):
+                ks = np.arange(k0, k0 + T.shape[0])
+                F += (gam[ks] * qb ** ks) @ T
+            mean[order[s:s + step]] = np.abs(F) ** p @ wt
+        return mean.reshape(len(radii), m) @ W
+
+    return _doubled(one_pass, level, 1e-6)
 
 
 def kernel_norm_scan(alpha: float, p: float, beta: float, radii,
@@ -384,27 +398,20 @@ def kernel_norm_scan(alpha: float, p: float, beta: float, radii,
 
     The growth exponent is c = p(alpha + n) - (beta + n): decay like
     (1-|x|^2)^{-c} for c > 0, log growth at c = 0, bounded for c < 0.
+    p = 2 is an exact series; other p start kernel_power_integral at level.
     """
     if beta <= -1.0:
         raise ParameterError("weight exponent > -1", f"beta = {beta} <= -1")
     radii = np.asarray(radii, dtype=np.float64)
-    vals = np.empty_like(radii)
+    # V_beta undoes the normalization of the weight-beta moments and rule
     if p == 2:
-        # moments of the normalized weight-beta measure; V_beta undoes the
-        # normalization
-        for i, r in enumerate(radii):
-            vals[i] = kc.v_alpha(n, beta) * _kernel_power_integral_p2(
-                n, alpha, float(r), lambda K: radial_moments(n, beta, K))
-    elif n == 2:
-        for i, r in enumerate(radii):
-            vals[i] = _kernel_power_integral_fft(2, alpha, p, beta, float(r))
+        vals = np.array([_kernel_power_integral_p2(n, alpha, float(r),
+                                                   lambda K: radial_moments(n, beta, K))
+                         for r in radii])
     else:
-        rule = quadrature_build(n, beta, level)
-        for i, r in enumerate(radii):
-            x = np.zeros(n)
-            x[0] = r
-            kv = np.abs(kc.kernel_eval_batch(n, alpha, x, rule.points, 1e-10)) ** p
-            vals[i] = kc.v_alpha(n, beta) * integrate(rule, kv)
+        vals = kernel_power_integral(n, alpha, p, radii,
+                                     lambda m: _radial_rule(n, beta, m), level)
+    vals = kc.v_alpha(n, beta) * vals
     om = 1.0 - radii**2
     c = p * (alpha + n) - (beta + n)
     return ScanResult(radii, om, vals, fit_slope(om, vals),
@@ -433,19 +440,12 @@ def bracket_integral_scan(beta: float, s_exp: float, radii,
         raise ParameterError("weight exponent > -1", f"beta = {beta} <= -1")
     radii = np.asarray(radii, dtype=np.float64)
     sigma = beta + n + s_exp
-    vals = np.empty_like(radii)
-    for i, r in enumerate(radii):
-        prev = None
-        m = level
-        while True:
-            rho, wr = _radial_rule(n, beta, m)
-            means = _bracket_angular_mean(n, sigma, r * rho)
-            val = kc.v_alpha(n, beta) * float(np.dot(wr, means))
-            if prev is not None and abs(val - prev) <= 1e-8 * abs(val) or m > 16 * level:
-                break
-            prev = val
-            m *= 2
-        vals[i] = val
+
+    def value(r, m):
+        rho, wr = _radial_rule(n, beta, m)
+        return kc.v_alpha(n, beta) * float(np.dot(wr, _bracket_angular_mean(n, sigma, r * rho)))
+
+    vals = np.array([_doubled(lambda m: value(r, m), level, 1e-8) for r in radii])
     om = 1.0 - radii**2
     return ScanResult(radii, om, vals, fit_slope(om, vals),
                       float(vals.max() / vals.min()), -s_exp)

@@ -16,13 +16,18 @@ def bracket(x, y) -> float:
 
 def bracket_batch(x, Y) -> np.ndarray:
     """[x, y] for each row y of Y; for a 2-D x, the matrix over rows of x and Y."""
-    x = np.asarray(x, dtype=np.float64)
-    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
+    return np.sqrt(_bracket2(x, Y)[1])
+
+
+def _bracket2(x, Y):
+    """(|x - y|^2, [x, y]^2) pair by pair with no matmul, so a pair's bits do not depend on
+    the batch; [x, y]^2 = |x - y|^2 + (1 - |x|^2)(1 - |y|^2) does not cancel at the rim."""
+    x, Y = np.asarray(x, dtype=np.float64), np.atleast_2d(np.asarray(Y, dtype=np.float64))
     X = np.atleast_2d(x)
-    v = (1.0 - 2.0 * (X @ Y.T)
-         + np.einsum("ij,ij->i", X, X)[:, None] * np.einsum("ij,ij->i", Y, Y)[None, :])
-    b = np.sqrt(np.maximum(v, 0.0))
-    return b if x.ndim == 2 else b[0]
+    d2 = sum((X[:, j, None] - Y[None, :, j]) ** 2 for j in range(X.shape[1]))
+    ox, oy = (1.0 - sum(A[:, j] ** 2 for j in range(A.shape[1])) for A in (X, Y))
+    b2 = np.maximum(d2 + ox[:, None] * oy[None, :], 0.0)
+    return (d2, b2) if x.ndim == 2 else (d2[0], b2[0])
 
 
 def mobius(a, x) -> np.ndarray:
@@ -40,14 +45,9 @@ def rho(x, y) -> float:
 
 def rho_batch(x, Y) -> np.ndarray:
     """rho(x, y) for each row y of Y; for a 2-D x, the matrix over rows of x and Y."""
-    x = np.asarray(x, dtype=np.float64)
-    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
-    X = np.atleast_2d(x)
-    b = bracket_batch(X, Y)
-    d = np.sqrt(sum((X[:, j, None] - Y[None, :, j]) ** 2 for j in range(X.shape[1])))
+    d2, b2 = _bracket2(x, Y)
     with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(b > 0, d / np.where(b > 0, b, 1.0), 0.0)
-    return out if x.ndim == 2 else out[0]
+        return np.where(b2 > 0, np.sqrt(d2) / np.sqrt(np.where(b2 > 0, b2, 1.0)), 0.0)
 
 
 @dataclass

@@ -12,6 +12,7 @@ radial_rule().
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -245,27 +246,24 @@ def berezin2(mu: Measure, Phi: float, alpha: float, x,
 
 def berezin_t(mu: Measure, alpha: float, t_exp: float, x,
               level: int = 64, tol: float = 1e-10) -> float:
-    """General-power kernel transform; normalizer by quadrature."""
+    """General-power kernel transform.  The normalizer int |R_alpha(x, .)|^t
+    dnu_alpha and the density term depend on |x| only: each is one
+    calculus.kernel_power_integral from level radial nodes."""
     if alpha <= -1.0:
         raise ParameterError("alpha > -1", f"alpha = {alpha}")
     if t_exp <= 1.0:
         raise ParameterError("t > 1", f"t = {t_exp}")
     x = np.asarray(x, dtype=np.float64)
-    rule = ca.quadrature_build(mu.n, alpha, level)
-    kv = np.abs(kc.kernel_eval_batch(mu.n, alpha, x, rule.points, tol)) ** t_exp
-    norm = float(np.dot(rule.weights, kv))
-    total = 0.0
+    n = mu.n
+    integral = partial(ca.kernel_power_integral, n, alpha, t_exp, [float(np.linalg.norm(x))],
+                       level=level)
+    total = 0.0 if mu.density is None else integral(lambda m: mu.density.radial_rule(n, 0.0, m))[0]
     if mu.atoms:
         Y = np.array([a for a, _ in mu.atoms])
         wts = np.array([w for _, w in mu.atoms])
         total += float(np.sum(wts * np.abs(
-            kc.kernel_eval_batch(mu.n, alpha, x, Y, tol)) ** t_exp))
-    if mu.density is not None:
-        rule0 = ca.quadrature_build(mu.n, 0.0, level)
-        rr = np.sqrt(np.einsum("ij,ij->i", rule0.points, rule0.points))
-        kv0 = np.abs(kc.kernel_eval_batch(mu.n, alpha, x, rule0.points, tol)) ** t_exp
-        total += float(np.dot(rule0.weights, kv0 * mu.density.radial(rr)))
-    return total / norm
+            kc.kernel_eval_batch(n, alpha, x, Y, tol)) ** t_exp))
+    return total / integral(lambda m: ca._radial_rule(n, alpha, m))[0]
 
 
 def berezin_type(mu: Measure, alpha: float, s_exp: float, x,

@@ -170,6 +170,84 @@ def test_kernel_norm_scan_regimes_light():
     assert flat.max_min_ratio < 10.0
 
 
+def _closed_form_kernel(n, alpha, q, t):
+    """R_alpha at |x||y| = q, x.y = q t, from closed forms that share no series
+    code: for n = 2, 2 Re (1 - q e^{i theta})^{-(alpha+2)} - 1; for n = 3 and
+    alpha = 0, P + (2/n) d/ds P(sx, y) at s = 1, P = (1 - |x|^2|y|^2)/[x, y]^n."""
+    b2 = 1.0 - 2.0 * q * t + q * q
+    if n == 2:
+        phi = np.arctan2(q * np.sqrt(1.0 - t * t), 1.0 - q * t)
+        return 2.0 * b2 ** (-(alpha + 2.0) / 2.0) * np.cos((alpha + 2.0) * phi) - 1.0
+    assert n == 3 and alpha == 0.0
+    a = q * q
+    return ((1.0 - a) / b2**1.5
+            + (2.0 / 3.0) * (-2.0 * a / b2**1.5 + 3.0 * (1.0 - a) * (q * t - a) / b2**2.5))
+
+
+def _panels(m, k):
+    """m equal panels of [0, 1] with k Gauss-Legendre nodes each: nodes, weights."""
+    v, wv = np.polynomial.legendre.leggauss(k)
+    a = np.arange(m)[:, None]
+    return ((a + (v + 1.0) / 2.0) / m).ravel(), np.tile(wv / (2.0 * m), m)
+
+
+def _grid_power_integrals(n, alpha, radii, ps):
+    """int |R_alpha(x, .)|^p dnu at |x| = r, shape (radii, ps): 1000 nodes in
+    rho (weight n rho^(n-1)) times 4000 in u, theta = pi u^3 (weight
+    sin^(n-2) theta), both composite Gauss-Legendre, 100 radial nodes a block."""
+    rho, wr = _panels(100, 10)
+    wr = wr * n * rho ** (n - 1)
+    u, wu = _panels(200, 20)
+    theta = np.pi * u**3
+    wt = wu * u**2 * np.sin(theta) ** (n - 2)
+    wt /= wt.sum()
+    out = np.zeros((len(radii), len(ps)))
+    for i, r in enumerate(radii):
+        for s in range(0, rho.size, 100):
+            vals = np.abs(_closed_form_kernel(n, alpha, r * rho[s:s + 100, None], np.cos(theta)))
+            out[i] += [wr[s:s + 100] @ (vals**p @ wt) for p in ps]
+    return out
+
+
+@pytest.mark.parametrize("n, alpha", [(2, -0.5), (2, 0.5), (2, 2.0), (3, 0.0)])
+def test_kernel_power_integral_closed_form_oracle(n, alpha):
+    radii = [0.0, 0.5, 0.9, 0.98]
+    want = _grid_power_integrals(n, alpha, radii, (1.0, 3.0))
+    for i, p in enumerate((1.0, 3.0)):
+        got = ca.kernel_power_integral(n, alpha, p, radii,
+                                       lambda m: ca._radial_rule(n, 0.0, m), 64)
+        np.testing.assert_allclose(got, want[:, i], rtol=1e-6)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_kernel_power_integral_p2_matches_series(n):
+    radii = np.array([0.0, 0.5, 0.9, 0.98])
+    got = ca.kernel_power_integral(n, 0.5, 2.0, radii,
+                                   lambda m: ca._radial_rule(n, 0.3, m), 16)
+    want = ca._kernel_power_integral_p2(n, 0.5, radii, lambda K: ca.radial_moments(n, 0.3, K))
+    np.testing.assert_allclose(got, want, rtol=1e-10)
+
+
+def test_kernel_norm_scan_n4_level_independent():
+    radii = [0.9, 0.95, 0.98]
+    lo = ca.kernel_norm_scan(0.5, 3.0, 0.0, radii, n=4, level=16)
+    hi = ca.kernel_norm_scan(0.5, 3.0, 0.0, radii, n=4, level=28)
+    np.testing.assert_allclose(lo.values, hi.values, rtol=1e-6)
+    assert lo.slope == pytest.approx(lo.predicted_exponent, rel=0.05)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_zonal_table_matches_zonal_series(n):
+    from bbesov._backend import zonal_series
+    t = np.cos(np.linspace(0.0, np.pi, 37))
+    coeffs = np.random.default_rng(n).normal(size=61)
+    blocks = list(ca.zonal_table(n, t, 60, 7))
+    assert [k0 for k0, _ in blocks] == list(range(0, 61, 7))
+    got = coeffs @ np.concatenate([T for _, T in blocks])
+    want = zonal_series(coeffs, (n - 2) / 2.0, t, np.ones_like(t))
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_bracket_scan_regimes_light():
     radii = [0.9, 0.95, 0.98, 0.99]
     grow = ca.bracket_integral_scan(0.0, 1.0, radii)

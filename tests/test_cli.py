@@ -102,6 +102,19 @@ def test_lattice_json_and_determinism(capsys, tmp_path):
     assert doc["points"][0] == [0.0, 0.0]
 
 
+def test_kernel_norm_scan_n3_p3_slope(capsys):
+    # the kernel-scans benchmark command: the (radius, angle) reduction
+    # resolves the kernel peak, so the slope meets the predicted -7.5
+    code, out, _ = run(capsys, ["kernel", "norm-scan", "--n", "3", "--p", "3",
+                                "--alpha", "0.5", "--beta", "0",
+                                "--radii", "0.9,0.95,0.98", "--level", "32"])
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert all(float(ln.split(",")[2]) > 0.0 for ln in lines[1:-1])
+    slope = float(lines[-1].split("slope=")[1].split()[0])
+    assert slope == pytest.approx(-7.5, rel=0.05)
+
+
 def test_lattice_bad_delta_exit2(capsys):
     code, _, err = run(capsys, ["lattice", "--delta", "1.5"])
     assert code == 2

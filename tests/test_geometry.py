@@ -22,6 +22,36 @@ def test_bracket_basics():
     assert ge.bracket(x, y) == ge.bracket(y, x)
 
 
+def test_rho_same_bits_in_any_batch_shape():
+    # a pair gives the same rho and bracket from a single-pair call, a row
+    # call and a block call, rim points included
+    rng = np.random.default_rng(7)
+    P = np.array([_pt(rng, 3, 0.9999) for _ in range(40)])
+    rows, brows = ge.rho_batch(P, P), ge.bracket_batch(P, P)
+    for i in range(len(P)):
+        row, brow = ge.rho_batch(P[i], P), ge.bracket_batch(P[i], P)
+        for j in range(len(P)):
+            assert ge.rho(P[i], P[j]) == row[j] == rows[i, j]
+            assert ge.bracket(P[i], P[j]) == brow[j] == brows[i, j]
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-8])
+def test_rho_and_bracket_at_rim_mpmath(eps):
+    # |x| = |y| = 1 - eps: the old 1 - 2x.y + |x|^2|y|^2 lost up to 5e-2 here
+    import mpmath
+    x = np.array([1.0 - eps, 0.0])
+    for angle in (1e-9, 1e-7, 1e-4, 0.3):
+        y = (1.0 - eps) * np.array([math.cos(angle), math.sin(angle)])
+        with mpmath.workdps(40):
+            xm, ym = [mpmath.mpf(float(v)) for v in x], [mpmath.mpf(float(v)) for v in y]
+            dot = sum(a * b for a, b in zip(xm, ym))
+            b = mpmath.sqrt(1 - 2 * dot + sum(a * a for a in xm) * sum(c * c for c in ym))
+            d = mpmath.sqrt(sum((a - c) ** 2 for a, c in zip(xm, ym)))
+            want_b, want_rho = float(b), float(d / b)
+        assert ge.bracket(x, y) == pytest.approx(want_b, rel=1e-9)
+        assert ge.rho(x, y) == pytest.approx(want_rho, rel=1e-9)
+
+
 def test_mobius_involution_and_swap():
     rng = np.random.default_rng(20)
     for n in (2, 3):

@@ -233,6 +233,32 @@ def test_berezin_t_flag_and_atom():
                                                                     rel=1e-9)
 
 
+def test_berezin_t_of_nu_alpha_is_one():
+    # the density term of nu_alpha is the normalizer itself, at every |x|
+    for n in (2, 3):
+        mu = me.nu_alpha_measure(n, 0.5)
+        for r in (0.0, 0.6, 0.95):
+            x = np.zeros(n)
+            x[-1] = r
+            assert me.berezin_t(mu, 0.5, 3.0, x) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_berezin_t_matches_product_rule():
+    # reference: the n-D product rule berezin_t used before, which resolves
+    # the kernel away from the rim
+    mu = me.Measure(2, [(np.array([0.3, 0.1]), 0.7)], me.Density("power-weight", 1.0, 2.0))
+    x = np.array([0.2, -0.4])
+    alpha, t = 0.5, 3.0
+    rule = ca.quadrature_build(2, alpha, 64)
+    norm = rule.weights @ np.abs(kc.kernel_eval_batch(2, alpha, x, rule.points, 1e-12)) ** t
+    rule0 = ca.quadrature_build(2, 0.0, 64)
+    rr = np.linalg.norm(rule0.points, axis=1)
+    dens = rule0.weights @ (np.abs(kc.kernel_eval_batch(2, alpha, x, rule0.points, 1e-12)) ** t
+                            * mu.density.radial(rr))
+    atom = 0.7 * abs(kc.kernel_eval(2, alpha, x, mu.atoms[0][0]).value) ** t
+    assert me.berezin_t(mu, alpha, t, x) == pytest.approx((atom + dens) / norm, rel=1e-9)
+
+
 def test_berezin_type_atom_identity():
     # single atom: value = w (1-|x|^2)^s / [x, y0]^(alpha+n+s)
     w0 = 2.0
