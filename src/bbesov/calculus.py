@@ -12,7 +12,7 @@ import numpy as np
 
 from . import kernelcore as kc
 from ._backend import zonal_series
-from .errors import ParameterError
+from .errors import ParameterError, TruncationError
 
 
 # --------------------------------------------------------------------------
@@ -126,6 +126,105 @@ class QuadratureRule:
 
 # Largest polar rule built; 2**24 nodes in R^4 take 512 MB of coordinates.
 MAX_RULE_NODES = 2 ** 24
+RULE_CACHE_KEYS = 256  # Tier-1 and `verify all` build 96 distinct rules
+NEWTON_STEPS = 20
+_rule_cache: dict = {}
+
+
+def _jacobi_recurrence(m: int, a: float, b: float):
+    """Diagonal al_k and off-diagonal sb_k = sqrt(beta_{k+1}), k < m, of the
+    Jacobi matrix of (1-x)^a (1+x)^b, written in 1 + a and 1 + b so that
+    exponents near -1 lose no digits to cancellation."""
+    a1, b1 = 1.0 + a, 1.0 + b
+    k = np.arange(1.0, m)
+    s = 2.0 * k + a + b
+    al = np.concatenate(([(b1 - a1) / (a1 + b1)], (b1 - a1) * (a + b) / (s * (s + 2.0))))
+    be = np.concatenate(([4.0 * a1 * b1 / ((a1 + b1) ** 2 * (a1 + b1 + 1.0))],
+                         4.0 * (k + 1.0) * (k + a1) * (k + b1) * (k + a1 + b1 - 1.0)
+                         / ((s + 2.0) ** 2 * (s + 3.0) * (s + 1.0))))
+    return al, np.sqrt(be)
+
+
+def _orthonormal(x, al, sb):
+    """p_m(x), p_m'(x) and sum_{j<m} p_j(x)^2 for the orthonormal polynomials
+    sb_k p_{k+1} = (x - al_k) p_k - sb_{k-1} p_{k-1}, p_0 = 1: O(x.size) memory."""
+    p0, p1, d0, d1 = np.zeros_like(x), np.ones_like(x), np.zeros_like(x), np.zeros_like(x)
+    total, bprev = np.zeros_like(x), 0.0
+    for k in range(al.size):
+        total += p1 * p1
+        xa = x - al[k]
+        p0, p1 = p1, (xa * p1 - bprev * p0) / sb[k]
+        d0, d1 = d1, (p0 + xa * d1 - bprev * d0) / sb[k]
+        bprev = sb[k]
+    return p1, d1, total
+
+
+def _newton(x, al, sb) -> bool:
+    """Newton on p_m in place, each node until its step is at most 1e-13; True
+    if every node converged within NEWTON_STEPS and the nodes increase
+    strictly inside (-1, 1)."""
+    live = np.arange(x.size)
+    for _ in range(NEWTON_STEPS):
+        p, d, _ = _orthonormal(x[live], al, sb)
+        dx = p / d
+        x[live] -= dx
+        live = live[~(np.abs(dx) <= 1e-13)]
+        if live.size == 0:
+            return bool(np.all(np.diff(x) > 0.0) and -1.0 < x[0] and x[-1] < 1.0)
+    return False
+
+
+def _bisected(al, sb):
+    """The eigenvalues of the Jacobi matrix to 2^-40, by bisection on Sturm
+    counts (the negative pivots of J - x I), all nodes at once."""
+    lo, hi, index = np.full(al.size, -1.0), np.full(al.size, 1.0), np.arange(al.size)
+    b2 = sb * sb
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        d = al[0] - mid
+        below = (d < 0.0).astype(np.int64)
+        for k in range(1, al.size):
+            d = al[k] - mid - b2[k - 1] / np.where(d == 0.0, 1e-300, d)
+            below += d < 0.0
+        above = below > index
+        lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+    return 0.5 * (lo + hi)
+
+
+def gauss_jacobi(m: int, a: float, b: float):
+    """Increasing nodes x_i and weights w_i, summing to 1, of the m-point
+    Gauss rule for (1-x)^a (1+x)^b on [-1, 1], a, b > -1: exact for
+    polynomials of degree <= 2m - 1.
+
+    Newton on the orthonormal three-term recurrence (Golub-Welsch 1969),
+    vectorised over the nodes with O(m) memory, from Gatteschi's interior
+    approximation (Hale-Townsend 2013); if that start fails, from Sturm
+    bisection.  Weights are Christoffel's, 1/sum_j p_j(x_i)^2.  Raises
+    ArithmeticError rather than return a rule whose Newton did not converge
+    or whose nodes do not increase.  Memoised on (m, a, b), read-only.
+    """
+    key = (int(m), float(a), float(b))
+    rule = _rule_cache.get(key)
+    if rule is not None:
+        return rule
+    al, sb = _jacobi_recurrence(*key)
+    rho = m + (a + b + 1.0) / 2.0
+    psi = (np.arange(m, 0, -1) + a / 2.0 - 0.25) * np.pi / rho
+    x = np.cos(psi + ((0.25 - a * a) / np.tan(psi / 2.0)
+                      - (0.25 - b * b) * np.tan(psi / 2.0)) / (4.0 * rho * rho))
+    if not _newton(x, al, sb):
+        x = _bisected(al, sb)
+        if not _newton(x, al, sb):
+            raise ArithmeticError(f"no {m}-point Gauss-Jacobi({a}, {b}) rule: "
+                                  "Newton did not converge to increasing nodes")
+    w = 1.0 / _orthonormal(x, al, sb)[2]
+    w /= w.sum()
+    for arr in (x, w):
+        arr.setflags(write=False)
+    if len(_rule_cache) >= RULE_CACHE_KEYS:
+        del _rule_cache[next(iter(_rule_cache))]
+    _rule_cache[key] = x, w
+    return x, w
 
 
 def _radial_rule(n: int, alpha: float, m: int):
@@ -134,13 +233,8 @@ def _radial_rule(n: int, alpha: float, m: int):
     Integrates g(r) against (n/V_alpha) (1-r^2)^alpha r^{n-1} dr on (0, 1)
     exactly for g polynomial in r^2 of degree <= 2m-1; weights sum to 1.
     """
-    from scipy.special import roots_jacobi
-    xj, wj = roots_jacobi(m, alpha, n / 2.0 - 1.0)
-    u = (xj + 1.0) / 2.0
-    scale = (n / (2.0 * kc.v_alpha(n, alpha))) * 2.0 ** (-(alpha + n / 2.0))
-    w = scale * wj
-    w /= w.sum()  # exact normalization (sum is 1 up to rounding)
-    return np.sqrt(u), w
+    x, w = gauss_jacobi(m, alpha, n / 2.0 - 1.0)
+    return np.sqrt((x + 1.0) / 2.0), w
 
 
 def sphere_rule(n: int, level: int):
@@ -157,12 +251,11 @@ def sphere_rule(n: int, level: int):
     dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     w = np.full(M, 1.0 / M)
     for d in range(3, n + 1):
-        from scipy.special import roots_jacobi
-        t, wt = roots_jacobi(level, (d - 3) / 2.0, (d - 3) / 2.0)
+        t, wt = gauss_jacobi(level, (d - 3) / 2.0, (d - 3) / 2.0)
         st = np.sqrt(1.0 - t**2)
         dirs = np.concatenate([(st[:, None, None] * dirs[None]).reshape(-1, d - 1),
                                np.repeat(t, dirs.shape[0])[:, None]], axis=1)
-        w = np.outer(wt / wt.sum(), w).ravel()
+        w = np.outer(wt, w).ravel()
     return dirs, w
 
 
@@ -369,9 +462,8 @@ def kernel_power_integral(n: int, alpha: float, p: float, radii, rule, level: in
     """
     def one_pass(m):
         rho, W = rule(m)
-        from scipy.special import roots_legendre
         # Gauss-Legendre in v, theta = pi v^3: graded toward the peak at theta = 0
-        v, wv = roots_legendre(2 * m)
+        v, wv = gauss_jacobi(2 * m, 0.0, 0.0)
         theta = np.pi * ((v + 1.0) / 2.0) ** 3
         wt = wv * (v + 1.0) ** 2 * np.sin(theta) ** (n - 2)
         t, wt = np.cos(theta), wt / wt.sum()
@@ -418,34 +510,66 @@ def kernel_norm_scan(alpha: float, p: float, beta: float, radii,
                       float(vals.max() / vals.min()), -c)
 
 
+def hyp2f1(a: float, b: float, c: float, z):
+    """Gauss's 2F1(a, b; c; z) for c > 0 and 0 <= z < 1, elementwise over z.
+
+    The power series, after Euler's transformation 2F1(a, b; c; z) =
+    (1-z)^(c-a-b) 2F1(c-a, c-b; c; z) when c < a + b.  With c >= a + b,
+    from k0 = max(0, -a, -b, ab - c) on every term ratio
+    (a+k)(b+k) z/((c+k)(k+1)) lies in (0, z], so the tail after term t_k is
+    at most t_k z/(1-z).  Terms go in blocks of 256, and each z stops once
+    that bound is below 2^-53 of its sum.  Raises TruncationError past
+    kc.DEFAULT_MAX_TERMS terms.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    if not (c > 0.0 and np.all((z >= 0.0) & (z < 1.0))):
+        raise ValueError("2F1 series needs c > 0 and 0 <= z < 1")
+    if c < a + b:
+        return (1.0 - z) ** (c - a - b) * hyp2f1(c - a, c - b, c, z)
+    zf = z.ravel()
+    total, term, bound = np.ones(zf.size), np.ones(zf.size), np.zeros(zf.size)
+    live, k0 = np.arange(zf.size), max(0.0, -a, -b, a * b - c)
+    for j in range(0, kc.DEFAULT_MAX_TERMS, 256):
+        k = np.arange(j, j + 256.0)
+        zl = zf[live]
+        T = term[live, None] * np.cumprod((a + k) * (b + k) / ((c + k) * (k + 1.0))
+                                          * zl[:, None], axis=1)
+        total[live] += T.sum(axis=1)
+        term[live] = T[:, -1]
+        bound[live] = np.abs(term[live]) * zl / ((1.0 - zl) * np.abs(total[live]))
+        if j + 256 > k0:
+            live = live[~(bound[live] <= 2.0 ** -53)]
+            if live.size == 0:
+                return total.reshape(z.shape)
+    raise TruncationError(float(bound[live].max()), kc.DEFAULT_MAX_TERMS)
+
+
 def _bracket_angular_mean(n: int, sigma: float, q):
     """Sphere average of [x, y]^(-sigma) over directions at radius product q.
 
     Equals 2F1(sigma/2, sigma/2 - nu; n/2; q^2) with nu = (n-2)/2, by the
     Gegenbauer generating function; q may be an array.
     """
-    from scipy.special import hyp2f1
     nu = (n - 2) / 2.0
     return hyp2f1(sigma / 2.0, sigma / 2.0 - nu, n / 2.0, np.square(q))
 
 
-def bracket_integral_scan(beta: float, s_exp: float, radii,
-                          n: int = 2, level: int = 512) -> ScanResult:
+def bracket_integral_scan(beta: float, s_exp: float, radii, n: int = 2) -> ScanResult:
     """Weighted bracket-power integrals along a radius list.
 
     Integrand (1-|y|^2)^beta / [x,y]^(beta+n+s_exp); growth exponent s_exp
     (decay (1-|x|^2)^{-s_exp} for s_exp > 0, log at 0, bounded below 0).
+    Summed term by term against the radial moments (n/2)_k/(n/2+beta+1)_k,
+    the angular mean's series loses its (n/2)_k, so the integral is
+    V_beta 2F1(sigma/2, sigma/2 - nu; n/2 + beta + 1; |x|^2), sigma =
+    beta + n + s_exp: no quadrature, and c - a - b = -s_exp.
     """
     if beta <= -1.0:
         raise ParameterError("weight exponent > -1", f"beta = {beta} <= -1")
     radii = np.asarray(radii, dtype=np.float64)
-    sigma = beta + n + s_exp
-
-    def value(r, m):
-        rho, wr = _radial_rule(n, beta, m)
-        return kc.v_alpha(n, beta) * float(np.dot(wr, _bracket_angular_mean(n, sigma, r * rho)))
-
-    vals = np.array([_doubled(lambda m: value(r, m), level, 1e-8) for r in radii])
+    sigma, nu = beta + n + s_exp, (n - 2) / 2.0
+    vals = kc.v_alpha(n, beta) * hyp2f1(sigma / 2.0, sigma / 2.0 - nu,
+                                        n / 2.0 + beta + 1.0, radii**2)
     om = 1.0 - radii**2
     return ScanResult(radii, om, vals, fit_slope(om, vals),
                       float(vals.max() / vals.min()), -s_exp)

@@ -6,8 +6,9 @@ schatten / intertwine / bounded), verify.  Reports are JSON, scan tables CSV;
 identical arguments (including --seed) produce byte-identical output.
 
 Exit codes: 0 success, 1 failed verification/audit or a report that would
-print NaN or +-inf (nothing goes to stdout then), 2 invalid parameters or a
-dimension the command does not implement.
+print NaN or +-inf (nothing goes to stdout then), 2 invalid parameters, a
+dimension the command does not implement, or a series or Gauss-Jacobi rule
+that cannot be certified.
 """
 
 import argparse
@@ -129,8 +130,7 @@ def cmd_kernel(args):
         res = ca.kernel_norm_scan(args.alpha, args.p, args.beta, radii,
                                   n=args.n, level=args.level)
     else:
-        res = ca.bracket_integral_scan(args.beta, args.s, radii,
-                                       n=args.n, level=max(args.level, 256))
+        res = ca.bracket_integral_scan(args.beta, args.s, radii, n=args.n)
     lines = ["r,one_minus_r2,value"]
     for r, o, v in zip(res.radii, res.one_minus_r2, res.values):
         lines.append(f"{_fmt(r)},{_fmt(o)},{_fmt(v)}")
@@ -375,6 +375,9 @@ def main(argv=None):
     except NonFiniteError as exc:
         print(f"non-finite result: {exc}", file=sys.stderr)
         return 1
+    except ArithmeticError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

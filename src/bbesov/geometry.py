@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import calculus as ca
 from . import kernelcore as kc
 
 
@@ -84,14 +85,13 @@ def pseudoball_integral(A: np.ndarray, delta: float, f, level: int) -> np.ndarra
     (0, R), weight n s^(n-1), times Gauss-Jacobi((n-3)/2, (n-3)/2) in t, the
     law of t on the sphere.  Exact for constant f; rows go in ~256 KB blocks.
     """
-    from scipy.special import roots_jacobi, roots_legendre
     ball = pseudoball(np.asarray(A, dtype=np.float64), delta)
     n = ball.center_x.shape[1]
     c, R = np.linalg.norm(ball.euclid_center, axis=1), ball.euclid_radius
-    x, wx = roots_legendre(level)
+    x, wx = ca.gauss_jacobi(level, 0.0, 0.0)
     s01 = (x + 1.0) / 2.0
-    t, wt = roots_jacobi(level, (n - 3) / 2.0, (n - 3) / 2.0)
-    W = np.outer(n * s01 ** (n - 1) * wx / 2.0, wt / wt.sum())
+    t, wt = ca.gauss_jacobi(level, (n - 3) / 2.0, (n - 3) / 2.0)
+    W = np.outer(n * s01 ** (n - 1) * wx, wt)
     out = np.empty(c.shape[0])
     rows = max(1, (1 << 15) // W.size)
     for k in range(0, c.shape[0], rows):

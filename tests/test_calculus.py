@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bbesov import calculus as ca
 from bbesov import kernelcore as kc
-from bbesov.errors import ParameterError
+from bbesov.errors import ParameterError, TruncationError
 
 
 def test_evaluate_constant_and_degree_one():
@@ -292,3 +292,133 @@ def test_dts_scaling_property(s, t, k):
     g = ca.dts_apply(s, t, f)
     expect = kc.gamma_k(n, s + t, k) / kc.gamma_k(n, s, k)
     assert g.parts[k][0][0] == pytest.approx(expect, rel=1e-12)
+
+
+# --------------------------------------------------------------------------
+# Gauss-Jacobi rules and 2F1 in numpy, against closed forms, scipy and mpmath
+
+# two ulps at 1 plus a margin: the references round too (scipy's node is
+# 4.4e-16 from the true root at (m, a, b) = (16, 0, -0.9); ours is 1.1e-16)
+NODE_ATOL = 4.5e-16
+
+
+def _beta_moment(a, b, j):
+    """int (1+x)^j (1-x)^a (1+x)^b dx / int (1-x)^a (1+x)^b dx = 2^j B(b+1+j, a+1)/B(b+1, a+1)."""
+    return math.exp(j * math.log(2.0) + math.lgamma(b + 1.0 + j) - math.lgamma(b + 1.0)
+                    + math.lgamma(a + b + 2.0) - math.lgamma(a + b + 2.0 + j))
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 16, 48])
+def test_gauss_jacobi_exact_beta_moments(m):
+    # (1+x)^j and (1-x)^j, j <= 2m - 1, span the polynomials of degree 2m - 1;
+    # a = 50 starts Newton from Sturm bisection
+    for a, b in [(-0.9, -0.5), (0.0, 0.0), (0.5, 1.0), (2.0, 0.0), (9.0, 3.0), (50.0, 0.0)]:
+        x, w = ca.gauss_jacobi(m, a, b)
+        assert np.all(np.diff(x) > 0.0) and -1.0 < x[0] and x[-1] < 1.0
+        for j in range(2 * m):
+            assert w @ (1.0 + x) ** j == pytest.approx(_beta_moment(a, b, j), rel=1e-12)
+            assert w @ (1.0 - x) ** j == pytest.approx(_beta_moment(b, a, j), rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 3, 64, 1000])
+def test_gauss_jacobi_chebyshev_closed_form(m):
+    x, w = ca.gauss_jacobi(m, -0.5, -0.5)
+    want = np.cos((2.0 * np.arange(m, 0, -1) - 1.0) * np.pi / (2.0 * m))
+    assert np.abs(x - want).max() <= NODE_ATOL
+    # the Christoffel function varies on a 1/m^2 scale at the ends, so node
+    # rounding moves the end weights by up to about m^2 eps
+    assert np.abs(w * m - 1.0).max() <= m * m * 2.3e-16
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 16, 48, 500, 4096])
+def test_gauss_jacobi_matches_scipy(m):
+    from scipy.special import roots_jacobi
+    grid = ([(a, b) for a in (-0.9, -0.5, 0.0, 2.0, 5.0, 9.0) for b in (-0.9, 0.0, 1.0, 3.0)]
+            if m <= 500 else [(-0.9, 3.0), (9.0, -0.9), (0.5, 0.0)])
+    for a, b in grid:
+        x, _ = ca.gauss_jacobi(m, a, b)
+        assert np.abs(x - roots_jacobi(m, a, b)[0]).max() <= NODE_ATOL, (a, b)
+
+
+def test_gauss_jacobi_memory_and_cache(monkeypatch):
+    import tracemalloc
+    monkeypatch.setattr(ca, "_rule_cache", {})
+    tracemalloc.start()
+    try:
+        x, w = ca.gauss_jacobi(16384, 0.5, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    assert w.sum() == pytest.approx(1.0, abs=1e-14)
+    assert not x.flags.writeable and not w.flags.writeable
+    assert ca.gauss_jacobi(16384, 0.5, 0.5)[0] is x
+    for m in range(1, 2 * ca.RULE_CACHE_KEYS):
+        ca.gauss_jacobi(m, 0.0, 0.0)
+    assert len(ca._rule_cache) <= ca.RULE_CACHE_KEYS
+    assert (16384, 0.5, 0.5) not in ca._rule_cache
+
+
+def test_gauss_jacobi_refuses_unconverged_rule(monkeypatch):
+    monkeypatch.setattr(ca, "_rule_cache", {})
+    monkeypatch.setattr(ca, "NEWTON_STEPS", 0)
+    with pytest.raises(ArithmeticError, match="Newton did not converge"):
+        ca.gauss_jacobi(8, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_hyp2f1_mpmath(n):
+    # the bracket-scan parameters a = sigma/2, b = sigma/2 - nu, c = n/2 + beta + 1,
+    # c - a - b = -s, and the angular mean's c = n/2
+    import mpmath
+    z = np.array([0.0, 0.1, 0.5, 0.9, 0.99, 0.999])
+    nu = (n - 2) / 2.0
+    for gap in (0.0, -1.0, -2.0, -0.5):
+        for beta in (-0.5, 0.0, 0.5):
+            sigma = beta + n - gap
+            for c in (n / 2.0 + beta + 1.0, n / 2.0):
+                a, b = sigma / 2.0, sigma / 2.0 - nu
+                got = ca.hyp2f1(a, b, c, z)
+                with mpmath.workdps(30):
+                    want = [float(mpmath.hyp2f1(a, b, c, zz)) for zz in z]
+                np.testing.assert_allclose(got, want, rtol=1e-13)
+
+
+def test_hyp2f1_refuses():
+    with pytest.raises(TruncationError):
+        ca.hyp2f1(1.0, 1.0, 2.0, np.array([0.5, 1.0 - 1e-7]))
+    with pytest.raises(ValueError):
+        ca.hyp2f1(1.0, 1.0, 2.0, 1.0)
+    assert ca.hyp2f1(-2.0, 1.0, 1.0, np.array([0.5])) == pytest.approx([0.25])
+
+
+def _bracket_scan_by_quadrature(beta, s_exp, radii, n):
+    """The quadrature bracket_integral_scan used to run: Gauss-Jacobi radial
+    nodes of weight beta, doubled from 512 until the values agree to 1e-8,
+    against the 2F1 angular mean (scipy's roots_jacobi and hyp2f1)."""
+    from scipy.special import hyp2f1, roots_jacobi
+    sigma, nu = beta + n + s_exp, (n - 2) / 2.0
+    out = []
+    for r in radii:
+        prev, m = None, 512
+        while True:
+            xj, wj = roots_jacobi(m, beta, n / 2.0 - 1.0)
+            q2 = r * r * (xj + 1.0) / 2.0
+            val = kc.v_alpha(n, beta) * np.dot(wj / wj.sum(),
+                                               hyp2f1(sigma / 2, sigma / 2 - nu, n / 2, q2))
+            if prev is not None and abs(val - prev) <= 1e-8 * abs(val) or m >= 8192:
+                break
+            prev, m = val, 2 * m
+        out.append(val)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n,beta,s_exp", [(2, 0.0, 1.0), (3, 0.0, 1.0), (2, 0.0, 0.0),
+                                          (2, 0.0, -0.5), (3, 0.5, 1.0), (4, -0.5, 0.7)])
+def test_bracket_scan_closed_form_matches_quadrature(n, beta, s_exp):
+    radii = [0.0, 0.5, 0.9, 0.95, 0.98]
+    got = ca.bracket_integral_scan(beta, s_exp, radii, n=n)
+    want = _bracket_scan_by_quadrature(beta, s_exp, radii, n)
+    np.testing.assert_allclose(got.values, want, rtol=1e-10)
+    assert got.values[0] == pytest.approx(kc.v_alpha(n, beta), rel=1e-15)
+    assert got.predicted_exponent == -s_exp

@@ -313,48 +313,92 @@ def test_verify_unknown_suite_usage_error(capsys):
     assert exc.value.code == 2
 
 
-_SCIPY_PROBE = """
-import json, sys
+_PROBE = """
+import contextlib, importlib.abc, io, json, sys
+modes = sys.argv[2].split(",")
+if "block" in modes:
+    class NoScipy(importlib.abc.MetaPathFinder):
+        def find_spec(self, name, path=None, target=None):
+            if name.split(".")[0] == "scipy":
+                raise ImportError(f"{name} is blocked")
+            return None
+    sys.meta_path.insert(0, NoScipy())
+if "import-scipy" in modes:
+    import scipy.special
 from bbesov.cli import main
+runs = []
 for argv in json.loads(sys.argv[1]):
-    assert main(argv) == 0, argv
-print(json.dumps([m for m in ("scipy.special", "scipy.spatial") if m in sys.modules]))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    runs.append([code, out.getvalue()])
+print(json.dumps({"runs": runs, "scipy": sorted(m for m in sys.modules
+                                                 if m.split(".")[0] == "scipy")}))
 """
 
 
-def _scipy_loaded_after(argvs):
-    """The scipy submodules one child interpreter holds after main(argv) for
-    each argv; the child inherits the caller's environment, with the bbesov
-    under test first on its path."""
+def _child_process(argvs, mode):
+    """Run main(argv) for each argv in one child interpreter, which prints its
+    (exit code, stdout) per argv and the scipy modules it holds at the end.
+    mode is a comma list: "block" makes every scipy import raise ImportError,
+    "import-scipy" imports scipy.special before bbesov.  The child inherits
+    the caller's environment, with the bbesov under test first on its path."""
     import bbesov
     pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(bbesov.__file__)))
     env = dict(os.environ)
     env.pop("BBESOV_FAULT", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(argvs)],
-                         capture_output=True, text=True, env=env, timeout=300)
+    return subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argvs), mode],
+                          capture_output=True, text=True, env=env, timeout=600)
+
+
+def _child(argvs, mode="plain"):
+    out = _child_process(argvs, mode)
     assert out.returncode == 0, out.stderr[-2000:]
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def test_cli_starts_without_scipy(tmp_path):
-    nu2 = write_measure(tmp_path, me.Measure(
-        2, [], me.Density("power-weight", 0.5, 1.0 / kc.v_alpha(2, 0.5))), "nu2.json")
-    mu3 = write_measure(tmp_path, me.Measure(
-        3, [(np.array([0.3, -0.2, 0.1]), 0.7), (np.array([-0.5, 0.1, 0.4]), 0.2)],
-        me.Density("power-weight", 0.5, 1.0)), "mu3.json")
-    out = str(tmp_path / "out.txt")
-    free = [["kernel", "eval", "--n", "2", "--alpha", "0", "--x=0.3,0.1", "--y=-0.2,0.5"],
-            ["kernel", "norm-scan", "--p", "2", "--alpha", "1", "--beta", "0",
-             "--radii", "0.9,0.95,0.98"],
-            ["lattice", "--n", "2", "--delta", "0.5", "--horizon", "0.7"],
-            ["toeplitz", "spectrum", "--file", nu2, "--alpha", "0.5", "--K", "8"],
-            ["toeplitz", "spectrum", "--file", mu3, "--n", "3", "--K", "6", "--level", "24"]]
-    assert _scipy_loaded_after([a + ["--output", out] for a in free]) == []
+def _perfbench_argvs(directory):
+    """argv of every command of every perfbench workload, inputs of seed 101."""
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    inputs = workloads.make_inputs(101, str(directory))
+    return [c.argv for make in workloads.WORKLOADS.values() for c in make(inputs, 101)]
+
+
+@pytest.fixture(scope="module")
+def perfbench_runs(tmp_path_factory):
+    argvs = _perfbench_argvs(tmp_path_factory.mktemp("perfbench"))
+    return argvs, _child(argvs)
+
+
+def test_cli_starts_without_scipy(perfbench_runs):
+    argvs, plain = perfbench_runs
+    assert ["verify", "all"] in argvs and len(argvs) >= 13
+    assert [code for code, _ in plain["runs"]] == [0] * len(argvs)
+    assert plain["scipy"] == []
     # the probe sees an import that does happen
-    carleson = ["measure", "carleson", "--file", mu3, "--lambda", "0.5", "--alpha", "0",
-                "--horizon", "0.7", "--output", out]
-    assert "scipy.special" in _scipy_loaded_after([carleson])
+    assert "scipy.special" in _child([argvs[-1]], "import-scipy")["scipy"]
+
+
+def test_cli_runs_with_scipy_blocked(perfbench_runs):
+    argvs, plain = perfbench_runs
+    blocked = _child(argvs, "block")
+    assert blocked["runs"] == plain["runs"]
+    # the block is real: a direct import fails
+    assert "ImportError: scipy is blocked" in _child_process([], "block,import-scipy").stderr
+
+
+def test_refused_rule_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(ca, "_rule_cache", {})
+    monkeypatch.setattr(ca, "NEWTON_STEPS", 0)
+    code, out, err = run(capsys, ["kernel", "norm-scan", "--p", "3", "--alpha", "0.5",
+                                  "--beta", "0", "--radii", "0.5,0.9", "--level", "8"])
+    assert (code, out) == (2, "")
+    assert err.startswith("numerical error: no 8-point Gauss-Jacobi(0.0, 0.0) rule")
 
 
 def test_nonfinite_report_exits_1(capsys, monkeypatch, tmp_path):
