@@ -6,7 +6,8 @@ and finite truncations of positive Toeplitz operators, plus a verification
 CLI exercising the library's internal identities at desk scale.
 """
 
-from ._backend import BACKEND
+# The zonal series is numpy; perfbench reports this name in its environment line.
+BACKEND = "python"
 
 __all__ = ["BACKEND"]
 __version__ = "0.1.0"

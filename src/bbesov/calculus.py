@@ -11,8 +11,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernelcore as kc
-from ._backend import zonal_series
 from .errors import ParameterError, TruncationError
+# perfbench/tracer.py wraps this name, so it stays an import of its own
+from .kernelcore import zonal_series
 
 
 # --------------------------------------------------------------------------
@@ -439,16 +440,12 @@ def _doubled(value, level: int, rel: float):
 
 def zonal_table(n: int, t, K: int, rows: int):
     """Blocks (k0, T) of T[i, j] = Z_{k0+i}(t_j), degrees up to K, for unit
-    vectors with x.y = t_j: the recurrence of zonal_series at a2 = 1."""
-    nu = (n - 2) / 2.0
-    prev, cur = np.zeros_like(t), np.ones_like(t)  # S_{-1} = 0, S_0 = 1
+    vectors with x.y = t_j: kc.zonal_terms at a2 = 1."""
+    terms = kc.zonal_terms((n - 2) / 2.0, t, 1.0)
     for k0 in range(0, K + 1, rows):
         T = np.empty((min(rows, K + 1 - k0), t.size))
-        for i, k in enumerate(range(k0, k0 + T.shape[0])):
-            if k:
-                ck = 2.0 if k <= 2 else (k + 2.0 * nu - 2.0) / (k + nu - 2.0)
-                prev, cur = cur, ((k + nu) / k) * (2.0 * t * cur - ck * prev)
-            T[i] = cur
+        for row, s in zip(T, terms):
+            row[:] = s
         yield k0, T
 
 

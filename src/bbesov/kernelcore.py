@@ -11,18 +11,15 @@ GIL (single-writer growth, concurrent reads safe).  The gamma cache keeps
 at most GAMMA_CACHE_KEYS (n, alpha) keys and drops the oldest first.
 """
 
+import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import zonal_series
 from .errors import TruncationError
 
 DEFAULT_MAX_TERMS = 100_000
-# Test-only fault injection, read once at import (see gamma_coeffs).
-_FAULT = os.environ.get("BBESOV_FAULT")
 
 GAMMA_CACHE_KEYS = 1024  # `verify all` ends with 118 keys (0.72 MB)
 _gamma_cache: dict = {}
@@ -89,10 +86,6 @@ def gamma_coeffs(n: int, alpha: float, kmax: int) -> np.ndarray:
     jump; the branch condition is the strict inequality alpha > -(1 + n/2)
     and no smoothing is applied.
     """
-    if _FAULT == "gamma-shift":
-        # Test-only fault injection, equivalent to the documented one-line
-        # index-shift mutation (coefficients displaced by one degree).
-        return _gamma_array(n, alpha, kmax + 1)[1: kmax + 2].copy()
     return _gamma_array(n, alpha, kmax)[: kmax + 1]
 
 
@@ -125,6 +118,38 @@ def v_alpha(n: int, alpha: float) -> float:
         return 1.0
     half = n / 2.0
     return math.gamma(half + 1.0) * math.gamma(alpha + 1.0) / math.gamma(half + alpha + 1.0)
+
+
+def zonal_terms(nu: float, w, a2):
+    """S_0, S_1, S_2, ... at the pairs (w, a2), without end.
+
+    S_k is the extended zonal harmonic Z_k(x, y) written in w = x . y and
+    a2 = |x|^2 |y|^2 (an array, or a float such as 1.0 for unit vectors),
+    with nu = (n - 2)/2, by the three-term recurrence
+
+        S_0 = 1
+        S_1 = (2 nu + 2) w
+        S_k = ((k + nu)/k) * (2 w S_{k-1} - c_k a2 S_{k-2})
+
+    with c_2 = 2 and c_k = (k + 2 nu - 2)/(k + nu - 2) for k >= 3.
+    """
+    prev = np.ones_like(w)
+    yield prev
+    cur = (2.0 * nu + 2.0) * w
+    yield cur
+    for k in itertools.count(2):
+        ck = 2.0 if k == 2 else (k + 2.0 * nu - 2.0) / (k + nu - 2.0)
+        prev, cur = cur, ((k + nu) / k) * (2.0 * w * cur - ck * a2 * prev)
+        yield cur
+
+
+def zonal_series(coeffs, nu: float, w, a2) -> np.ndarray:
+    """sum_k coeffs[k] S_k at many pairs: (N,) arrays w and a2 (see zonal_terms)."""
+    w = np.asarray(w, dtype=np.float64)
+    out = np.zeros_like(w)
+    for c, s in zip(coeffs, zonal_terms(nu, w, np.asarray(a2, dtype=np.float64))):
+        out += c * s
+    return out
 
 
 def zonal(n: int, k: int, x, y) -> float:
@@ -180,16 +205,20 @@ def plan_terms(n: int, alpha: float, q: float, tol: float,
     """Smallest K (number of terms) with certified tail <= tol at radius product q."""
     if q <= 0.0:
         return 1
-    K = 8
+    lo, K = 7, 8  # lo: the last K that failed (7 stands for none)
     while K <= max_terms:
         if tail_bound(n, alpha, q, K) <= tol:
             break
-        K = min(max_terms + 1, max(K + 8, int(K * 1.3)))
+        lo, K = K, min(max_terms + 1, max(K + 8, int(K * 1.3)))
     if K > max_terms:
         raise TruncationError(tail_bound(n, alpha, q, max_terms), max_terms)
-    # refine downward a little (K grew geometrically)
-    while K > 8 and tail_bound(n, alpha, q, K - 1) <= tol:
-        K -= 1
+    # K grew geometrically: bisect between the last failure and K
+    while K - lo > 1:
+        mid = (lo + K) // 2
+        if tail_bound(n, alpha, q, mid) <= tol:
+            K = mid
+        else:
+            lo = mid
     return K
 
 

@@ -6,7 +6,6 @@ series) rather than the functions under test wherever possible.
 """
 
 import json
-import os
 import subprocess
 import sys
 import time
@@ -19,7 +18,7 @@ from bbesov import geometry as ge
 from bbesov import kernelcore as kc
 from bbesov import measures as me
 from bbesov import toeplitz as tp
-from bbesov._series_py import zonal_series as zonal_py
+from bbesov.kernelcore import zonal_series as zonal_py
 
 
 def _ball_points(rng, m, n, rmax):
@@ -338,14 +337,23 @@ def test_14_trace_bracket():
 # --------------------------------------------------------------- criterion 15
 
 
-def _run_verify(extra_env=None):
-    env = dict(os.environ)
-    env.pop("BBESOV_FAULT", None)
-    if extra_env:
-        env.update(extra_env)
+# Index shift in the kernel coefficients (each gamma_k displaced by one
+# degree).  Every caller looks gamma_coeffs up through the kernelcore module,
+# so replacing the module attribute reaches them all.
+_GAMMA_SHIFT = """
+import sys
+from bbesov import kernelcore as kc
+kc.gamma_coeffs = lambda n, alpha, kmax: kc._gamma_array(n, alpha, kmax + 1)[1:kmax + 2].copy()
+from bbesov.cli import main
+sys.exit(main(["verify", "all"]))
+"""
+
+
+def _run_verify(fault=False):
+    argv = ["-c", _GAMMA_SHIFT] if fault else ["-m", "bbesov.cli", "verify", "all"]
     t0 = time.time()
-    out = subprocess.run([sys.executable, "-m", "bbesov.cli", "verify", "all"],
-                         capture_output=True, text=True, env=env, timeout=600)
+    out = subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                         timeout=600)
     return out, time.time() - t0
 
 
@@ -356,7 +364,7 @@ def test_15_verify_all_and_fault_mutation():
     doc = json.loads(out.stdout)
     assert doc["ok"] is True
 
-    bad, _ = _run_verify({"BBESOV_FAULT": "gamma-shift"})
+    bad, _ = _run_verify(fault=True)
     assert bad.returncode == 1
     doc = json.loads(bad.stdout)
     failed = [c["name"] for c in doc["checks"] if c["status"] == "fail"]

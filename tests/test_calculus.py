@@ -238,7 +238,7 @@ def test_kernel_norm_scan_n4_level_independent():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_zonal_table_matches_zonal_series(n):
-    from bbesov._backend import zonal_series
+    from bbesov.kernelcore import zonal_series
     t = np.cos(np.linspace(0.0, np.pi, 37))
     coeffs = np.random.default_rng(n).normal(size=61)
     blocks = list(ca.zonal_table(n, t, 60, 7))

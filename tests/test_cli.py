@@ -345,7 +345,6 @@ def _child_process(argvs, mode):
     import bbesov
     pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(bbesov.__file__)))
     env = dict(os.environ)
-    env.pop("BBESOV_FAULT", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argvs), mode],
                           capture_output=True, text=True, env=env, timeout=600)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bbesov import calculus as ca
 from bbesov import kernelcore as kc
-from bbesov._series_py import zonal_series as zonal_py
+from bbesov.kernelcore import zonal_series as zonal_py
 from bbesov.errors import TruncationError
 
 
@@ -114,6 +115,12 @@ def test_zonal_chebyshev_oracle_n2():
         for k in (1, 3, 8):
             expect = 2.0 * r**k * s**k * np.cos(k * (a - b))
             assert kc.zonal(2, k, x, y) == pytest.approx(expect, abs=1e-12)
+    # zonal_table at unit vectors: Z_k(t) = 2 cos(k theta), Z_0 = 1
+    theta = np.linspace(0.0, np.pi, 25)
+    T = np.concatenate([T for _, T in ca.zonal_table(2, np.cos(theta), 40, 7)])
+    expect = 2.0 * np.cos(np.outer(np.arange(41), theta))
+    expect[0] = 1.0
+    assert np.abs(T - expect).max() <= 1e-12
 
 
 def test_zonal_legendre_oracle_n3():
@@ -130,6 +137,43 @@ def test_zonal_legendre_oracle_n3():
             expect = (2 * k + 1) * r**k * s**k * eval_legendre(k, t)
             assert kc.zonal(3, k, x, y) == pytest.approx(expect, rel=1e-11,
                                                          abs=1e-12)
+    # zonal_table at unit vectors: Z_k(t) = (2k + 1) P_k(t)
+    t = np.cos(np.linspace(0.0, np.pi, 25))
+    T = np.concatenate([T for _, T in ca.zonal_table(3, t, 40, 7)])
+    for k in range(41):
+        expect = (2 * k + 1) * eval_legendre(k, t)
+        assert np.abs(T[k] - expect).max() <= 1e-12 * (2 * k + 1)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_zonal_gegenbauer_oracle(n):
+    # Z_k(x,y) = (|x||y|)^k ((k + nu)/nu) C_k^nu(t), nu = (n-2)/2, with the
+    # Gegenbauer polynomial from mpmath, for zonal_series and zonal_table
+    import mpmath
+
+    nu = (n - 2) / 2.0
+
+    def oracle(k, t):
+        return float((k + nu) / nu * mpmath.gegenbauer(k, nu, t))
+
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(20, n))
+    Y = rng.normal(size=(20, n))
+    X *= rng.uniform(0.2, 0.9, (20, 1)) / np.linalg.norm(X, axis=1, keepdims=True)
+    Y *= rng.uniform(0.2, 0.9, (20, 1)) / np.linalg.norm(Y, axis=1, keepdims=True)
+    rs = np.linalg.norm(X, axis=1) * np.linalg.norm(Y, axis=1)
+    w = np.einsum("ij,ij->i", X, Y)
+    for k in (0, 1, 2, 5, 12):
+        coeffs = np.zeros(k + 1)
+        coeffs[k] = 1.0
+        got = kc.zonal_series(coeffs, nu, w, rs**2)
+        expect = [q**k * oracle(k, wi / q) for wi, q in zip(w, rs)]
+        np.testing.assert_allclose(got, expect, rtol=1e-11, atol=1e-12)
+    t = np.cos(np.linspace(0.0, np.pi, 25))
+    T = np.concatenate([T for _, T in ca.zonal_table(n, t, 40, 7)])
+    for k in range(41):
+        expect = [oracle(k, tj) for tj in t]
+        assert np.abs(T[k] - expect).max() <= 1e-12 * kc.dim_harmonics(n, k)
 
 
 def test_kernel_eval_at_origin_exact():
@@ -184,6 +228,49 @@ def test_certified_tail_bound_behavioral():
                 assert kv.truncation_bound <= 1e-8
 
 
+def _plan_terms_walk(n, alpha, q, tol, max_terms=kc.DEFAULT_MAX_TERMS):
+    # the former plan_terms: geometric growth, then down one term at a time
+    K = 8
+    while K <= max_terms:
+        if kc.tail_bound(n, alpha, q, K) <= tol:
+            break
+        K = min(max_terms + 1, max(K + 8, int(K * 1.3)))
+    if K > max_terms:
+        raise TruncationError(kc.tail_bound(n, alpha, q, max_terms), max_terms)
+    while K > 8 and kc.tail_bound(n, alpha, q, K - 1) <= tol:
+        K -= 1
+    return K
+
+
+def test_plan_terms_bisection_matches_walk(monkeypatch):
+    calls = {"n": 0}
+    tail_bound = kc.tail_bound
+
+    def counted(*args):
+        calls["n"] += 1
+        return tail_bound(*args)
+
+    monkeypatch.setattr(kc, "tail_bound", counted)
+
+    def plan(fn, *args):
+        try:
+            return fn(*args)
+        except TruncationError as e:
+            return ("refused", e.args)
+
+    grid = [(n, float(alpha), q, tol) for n in (2, 3, 4, 5)
+            for alpha in np.linspace(-7.5, 10.0, 10)
+            for q in (1e-6, 1e-3, 0.05, 0.2, 0.4, 0.6, 0.8, 0.9, 0.99, 0.999)
+            for tol in (1e-6, 1e-8, 1e-10, 1e-12, 1e-14)]
+    walk = [plan(_plan_terms_walk, *case) for case in grid]
+    walk_calls, calls["n"] = calls["n"], 0
+    assert [plan(kc.plan_terms, *case) for case in grid] == walk
+    assert calls["n"] * 10 < walk_calls
+    for case, K in zip(grid, walk):
+        if isinstance(K, int):
+            assert tail_bound(*case[:3], K) <= case[3]
+
+
 def test_truncation_error_raised():
     x = np.array([0.9999, 0.0])
     with pytest.raises(TruncationError):
@@ -216,46 +303,6 @@ def test_kernel_eval_batch_matches_scalar():
     for i, xi in enumerate(X):
         row = kc.kernel_eval_batch(3, 0.7, xi, Y, tol=1e-12)
         assert np.allclose(mat[i], row, rtol=1e-12, atol=1e-12)
-
-
-def test_backend_fallback_agrees():
-    # BBESOV_FORCE_FALLBACK=1 must select the numpy series in a fresh
-    # interpreter and give the value computed here.  Where the compiled _ext
-    # is not built, both sides run the numpy backend, so this checks only
-    # that the flag selects the numpy path and that the result is the same
-    # across processes; compiled-vs-numpy agreement is checked only where
-    # the extension is built.
-    import os
-    import subprocess
-    import sys
-
-    import bbesov
-
-    # The child inherits the caller's environment, with the directory that
-    # holds the bbesov under test first on its path.
-    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(bbesov.__file__)))
-    env = dict(os.environ)
-    env.pop("BBESOV_FAULT", None)
-    env["BBESOV_FORCE_FALLBACK"] = "1"
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [pkg_root, env.get("PYTHONPATH")]))
-    code = (
-        "import os, numpy as np\n"
-        "import bbesov, bbesov.kernelcore as kc\n"
-        "assert bbesov.BACKEND == 'python', bbesov.BACKEND\n"
-        "x = np.array([0.3, -0.4]); y = np.array([0.5, 0.2])\n"
-        "print(bbesov.__file__)\n"
-        "print(repr(kc.kernel_eval(2, 1.0, x, y, tol=1e-12).value))\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert out.returncode == 0, out.stderr
-    child_file, child_value = out.stdout.strip().splitlines()
-    assert os.path.realpath(child_file) == os.path.realpath(bbesov.__file__)
-    x = np.array([0.3, -0.4])
-    y = np.array([0.5, 0.2])
-    here = kc.kernel_eval(2, 1.0, x, y, tol=1e-12).value
-    assert float(child_value) == pytest.approx(here, rel=1e-14)
 
 
 @settings(max_examples=60, deadline=None)
