@@ -260,6 +260,11 @@ def sphere_rule(n: int, level: int):
     return dirs, w
 
 
+def sphere_rule_size(n: int, level: int) -> int:
+    """Number of directions in sphere_rule(n, level)."""
+    return 4 * level if n == 2 else 2 * level ** (n - 1)
+
+
 def quadrature_build(n: int, weight_exponent: float, level: int = 64) -> QuadratureRule:
     """Product rule integrating against the normalized weighted volume measure.
 
@@ -269,7 +274,7 @@ def quadrature_build(n: int, weight_exponent: float, level: int = 64) -> Quadrat
     if weight_exponent <= -1.0:
         raise ParameterError("weight exponent > -1",
                              f"weight exponent {weight_exponent} not integrable")
-    size = level * (4 * level if n == 2 else 2 * level ** (n - 1))
+    size = level * sphere_rule_size(n, level)
     if size > MAX_RULE_NODES:
         raise ParameterError(f"at most {MAX_RULE_NODES} quadrature nodes",
                              f"a level-{level} rule in R^{n} has {size} nodes")

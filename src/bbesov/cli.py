@@ -6,9 +6,9 @@ schatten / intertwine / bounded), verify.  Reports are JSON, scan tables CSV;
 identical arguments (including --seed) produce byte-identical output.
 
 Exit codes: 0 success, 1 failed verification/audit or a report that would
-print NaN or +-inf (nothing goes to stdout then), 2 invalid parameters, a
-dimension the command does not implement, or a series or Gauss-Jacobi rule
-that cannot be certified.
+print NaN or +-inf (nothing goes to stdout then), 2 invalid parameters or
+input files (a measure whose dimension is not --n, for one), or a series or
+Gauss-Jacobi rule that cannot be certified.
 """
 
 import argparse
@@ -248,11 +248,18 @@ def cmd_verify(args):
 # --------------------------------------------------------------------------
 
 
-def _common(sp):
-    sp.add_argument("--horizon", type=float, default=0.95)
-    sp.add_argument("--tol", type=float, default=1e-9)
-    sp.add_argument("--level", type=int, default=48)
-    sp.add_argument("--seed", type=int, default=0)
+_SHARED = {
+    "horizon": {"type": float, "default": 0.95},
+    "tol": {"type": float, "default": 1e-9},
+    "level": {"type": int, "default": 48},
+    "seed": {"type": int, "default": 0},
+}
+
+
+def _options(sp, *names):
+    """Add the shared options that sp's command reads, then --output."""
+    for name in names:
+        sp.add_argument(f"--{name}", **_SHARED[name])
     sp.add_argument("--output", default=None)
 
 
@@ -270,26 +277,26 @@ def build_parser():
     ke.add_argument("--alpha", type=float, required=True)
     ke.add_argument("--x", required=True)
     ke.add_argument("--y", required=True)
-    _common(ke)
+    _options(ke, "tol")
     kn = ks.add_parser("norm-scan")
     kn.add_argument("--n", type=int, default=2)
     kn.add_argument("--alpha", type=float, required=True)
     kn.add_argument("--p", type=float, required=True)
     kn.add_argument("--beta", type=float, required=True)
     kn.add_argument("--radii", required=True)
-    _common(kn)
+    _options(kn, "level")
     kb = ks.add_parser("bracket-scan")
     kb.add_argument("--n", type=int, default=2)
     kb.add_argument("--beta", type=float, required=True)
     kb.add_argument("--s", type=float, required=True)
     kb.add_argument("--radii", required=True)
-    _common(kb)
+    _options(kb)
     k.set_defaults(func=cmd_kernel)
 
     lt = sub.add_parser("lattice", help="generate and audit a separated net")
     lt.add_argument("--n", type=int, default=2)
     lt.add_argument("--delta", type=float, required=True)
-    _common(lt)
+    _options(lt, "horizon", "seed")
     lt.set_defaults(func=cmd_lattice)
 
     m = sub.add_parser("measure", help="Carleson statistics and transforms")
@@ -299,31 +306,34 @@ def build_parser():
     mc.add_argument("--lambda", dest="lam", type=float, required=True)
     mc.add_argument("--alpha", type=float, required=True)
     mc.add_argument("--delta", type=float, default=0.5)
-    _common(mc)
+    _options(mc, "horizon", "level")
     mv = ms.add_parser("vanishing")
     mv.add_argument("--file", required=True)
     mv.add_argument("--lambda", dest="lam", type=float, required=True)
     mv.add_argument("--alpha", type=float, required=True)
     mv.add_argument("--delta", type=float, default=0.5)
-    _common(mv)
+    _options(mv, "horizon", "level")
     mb = ms.add_parser("berezin")
     mb.add_argument("--file", required=True)
     mb.add_argument("--Phi", dest="phi", type=float, required=True)
     mb.add_argument("--alpha", type=float, required=True)
     mb.add_argument("--x", required=True)
-    _common(mb)
+    _options(mb, "tol", "level")
     ma = ms.add_parser("averaging")
     ma.add_argument("--file", required=True)
     ma.add_argument("--alpha", type=float, required=True)
     ma.add_argument("--delta", type=float, default=0.5)
     ma.add_argument("--radii", default="0.0,0.2,0.4,0.6,0.8")
     ma.add_argument("--angles", type=int, default=4)
-    _common(ma)
+    _options(ma, "level")
     m.set_defaults(func=cmd_measure)
 
     t = sub.add_parser("toeplitz", help="finite operator truncations")
     ts = t.add_subparsers(dest="toeplitz_cmd", required=True)
-    for name in ("matrix", "spectrum", "schatten", "intertwine", "bounded"):
+    for name, shared in (("matrix", ("level",)), ("spectrum", ("level",)),
+                         ("schatten", ("horizon", "level")),
+                         ("intertwine", ("level",)),
+                         ("bounded", ("horizon", "level", "seed"))):
         p = ts.add_parser(name)
         p.add_argument("--file", required=True)
         p.add_argument("--n", type=int, default=2)
@@ -345,12 +355,12 @@ def build_parser():
             p.add_argument("--t", type=float, required=True)
             p.add_argument("--trials", type=int, default=20)
             p.add_argument("--delta", type=float, default=0.5)
-        _common(p)
+        _options(p, *shared)
     t.set_defaults(func=cmd_toeplitz)
 
     v = sub.add_parser("verify", help="run lemma-level verification suites")
     v.add_argument("suite", choices=list(vf.SUITES) + ["all"])
-    _common(v)
+    _options(v)
     v.set_defaults(func=cmd_verify)
     return ap
 
@@ -368,9 +378,6 @@ def main(argv=None):
         return 2
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NotImplementedError as exc:
-        print(f"not implemented: {exc}", file=sys.stderr)
         return 2
     except NonFiniteError as exc:
         print(f"non-finite result: {exc}", file=sys.stderr)

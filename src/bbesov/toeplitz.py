@@ -11,6 +11,7 @@ compatible normalization V_alpha / V_{s+t} (the same anchor: the weighted
 volume measure maps to the identity).
 """
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -40,10 +41,16 @@ class BasisSpec:
         return 2.0 * self.s - self.alpha
 
     def validate(self):
-        if self.n not in (2, 3):
-            raise NotImplementedError("matrix work restricted to n in {2, 3}")
+        if self.n < 2:
+            raise ParameterError("n >= 2", f"n = {self.n}")
         if self.Phi <= -1.0:
             raise ParameterError("2s - alpha > -1", f"2s - alpha = {self.Phi}")
+        # _poles(n, K) fills a (candidates x h_K) table, the largest of any degree
+        k = self.max_degree
+        table = ca.sphere_rule_size(self.n, k + 1) * kc.dim_harmonics(self.n, k)
+        if table > ca.MAX_RULE_NODES:
+            raise ParameterError(f"at most {ca.MAX_RULE_NODES} pivot-table entries",
+                                 f"degree {k} in R^{self.n} needs {table}")
 
     @property
     def size(self) -> int:
@@ -58,86 +65,54 @@ def _norm_sq(spec: BasisSpec, k: int) -> float:
             * ca.radial_moment(n, spec.Phi, k))
 
 
-def _fibonacci_sphere(m: int):
-    i = np.arange(m)
-    z = 1.0 - 2.0 * (i + 0.5) / m
-    phi = i * (math.pi * (3.0 - math.sqrt(5.0)))
-    st = np.sqrt(1.0 - z**2)
-    return np.stack([st * np.cos(phi), st * np.sin(phi), z], axis=1)
+@functools.lru_cache(maxsize=None)
+def _poles(n: int, k: int):
+    """h_k unit poles eta_j and the rows L_p of the pivoted Cholesky factor
+    of their degree-k zonal Gram Z_k(eta_i, eta_j) = L_p L_p^T.
 
-
-def _select_poles(k: int):
-    """2k+1 unit poles whose degree-k zonal Gram is well conditioned.
-
-    Greedy pivoted-Cholesky selection from an oversampled spiral; a spread
-    point set alone is not enough (three spiral points at k = 1 happen to be
-    coplanar, so their Gram is singular).
+    Greedy pivoted Cholesky over the directions c of sphere_rule(n, k + 1),
+    one Gram column per pivot; the diagonal Z_k(c, c) is h_k.  That rule
+    integrates degree 2k exactly, so sum_j w_j Y(c_j)^2 = ||Y||^2 > 0 for
+    every nonzero degree-k harmonic Y: the candidate Gram has rank h_k and
+    every pivot is positive.  Depends on neither alpha nor s, so it is
+    cached; the arrays are read-only.
     """
-    m = 2 * k + 1
-    cand = _fibonacci_sphere(2 * m + 1)
-    nc = cand.shape[0]
-    G = np.empty((nc, nc))
-    for i in range(nc):
-        for j in range(i, nc):
-            G[i, j] = G[j, i] = kc.zonal(3, k, cand[i], cand[j])
-    diag = np.diag(G).copy()
-    L = np.zeros((nc, m))
+    cand, _ = ca.sphere_rule(n, k + 1)
+    m = kc.dim_harmonics(n, k)
+    onehot = np.zeros(k + 1)
+    onehot[k] = 1.0
+    diag = np.full(cand.shape[0], float(m))
+    L = np.zeros((cand.shape[0], m))
     picked = []
     for col in range(m):
         p = int(np.argmax(diag))
-        if diag[p] <= 1e-12 * kc.dim_harmonics(3, k):
-            raise RuntimeError(f"cannot find {m} independent poles at degree {k}")
-        piv = math.sqrt(diag[p])
-        L[:, col] = (G[:, p] - L[:, :col] @ L[p, :col]) / piv
+        gram = kc.zonal_series(onehot, (n - 2) / 2.0, cand @ cand[p], 1.0)
+        L[:, col] = (gram - L[:, :col] @ L[p, :col]) / math.sqrt(diag[p])
         diag -= L[:, col] ** 2
         diag[p] = -np.inf
         picked.append(p)
-    return cand[picked]
+    poles, Lp = cand[picked], L[picked]
+    poles.flags.writeable = Lp.flags.writeable = False
+    return poles, Lp
 
 
 def basis_build(spec: BasisSpec):
     """Orthonormal basis (list of polynomials) with parallel degree list.
 
-    n = 2: trig pairs sqrt(2) |x|^k {cos, sin}(k theta), each a single zonal
-    atom; n = 3: per degree, well-spread zonal atoms orthonormalized through
-    the closed-form Gram matrix Z_k(eta_i, eta_j).
+    Degree k holds L_p^{-1} (Z_k(., eta_j))_j with the poles and factor of
+    _poles(n, k), the sphere-orthonormal degree-k harmonics, divided by
+    their closed-form norm (_norm_sq).  L_p is lower triangular, so e_i has
+    atoms at eta_0 .. eta_i only.
     """
     spec.validate()
-    n = spec.n
     basis, degrees = [], []
-    e1 = np.zeros(n)
-    e1[0] = 1.0
     for k in range(spec.max_degree + 1):
-        nk = math.sqrt(_norm_sq(spec, k))
-        if k == 0:
-            basis.append(ca.HarmonicPolynomial(n, {0: [(1.0 / nk, e1.copy())]}))
-            degrees.append(0)
-            continue
-        if n == 2:
-            # |x|^k sqrt(2) cos(k theta) = (sqrt(2)/2) Z_k(x, e1); the sine
-            # partner is the same zonal atom rotated by pi/(2k)
-            c = math.sqrt(2.0) / 2.0 / nk
-            a = math.pi / (2.0 * k)
-            pole_sin = np.array([math.cos(a), math.sin(a)])
-            basis.append(ca.HarmonicPolynomial(n, {k: [(c, e1.copy())]}))
-            basis.append(ca.HarmonicPolynomial(n, {k: [(c, pole_sin)]}))
-            degrees.extend([k, k])
-        else:
-            poles = _select_poles(k)
-            m = poles.shape[0]
-            G = np.empty((m, m))
-            for i in range(m):
-                for j in range(i, m):
-                    G[i, j] = G[j, i] = kc.zonal(n, k, poles[i], poles[j])
-            w, V = np.linalg.eigh(G)
-            if w.min() <= 1e-10 * w.max():
-                raise RuntimeError(f"ill-conditioned pole set at degree {k}")
-            # rows of W combine atoms into sphere-orthonormal harmonics
-            W = (V / np.sqrt(w)) @ V.T
-            for i in range(m):
-                atoms = [(float(W[j, i] / nk), poles[j]) for j in range(m)]
-                basis.append(ca.HarmonicPolynomial(n, {k: atoms}))
-                degrees.append(k)
+        poles, Lp = _poles(spec.n, k)
+        W = np.linalg.inv(Lp) / math.sqrt(_norm_sq(spec, k))
+        for i in range(len(poles)):
+            atoms = [(float(W[i, j]), poles[j]) for j in range(i + 1)]
+            basis.append(ca.HarmonicPolynomial(spec.n, {k: atoms}))
+        degrees.extend([k] * len(poles))
     return basis, degrees
 
 

@@ -392,6 +392,15 @@ def test_hyp2f1_refuses():
     assert ca.hyp2f1(-2.0, 1.0, 1.0, np.array([0.5])) == pytest.approx([0.25])
 
 
+def test_hyp2f1_euler_transformation(monkeypatch):
+    # c < a + b: after Euler's transformation the series is 1 + z and ends at
+    # once; the series as given would need thousands of terms at z = 0.99
+    monkeypatch.setattr(kc, "DEFAULT_MAX_TERMS", 256)
+    z = np.array([0.5, 0.9, 0.99])
+    np.testing.assert_allclose(ca.hyp2f1(2.0, 2.0, 1.0, z),
+                               (1.0 + z) / (1.0 - z) ** 3, rtol=1e-14, atol=0)
+
+
 def _bracket_scan_by_quadrature(beta, s_exp, radii, n):
     """The quadrature bracket_integral_scan used to run: Gauss-Jacobi radial
     nodes of weight beta, doubled from 512 until the values agree to 1e-8,

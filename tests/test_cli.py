@@ -137,14 +137,24 @@ def test_lattice_horizon_at_delta_ends(capsys, n, horizon):
         assert code == 0 or (code == 2 and "budget" in err)
 
 
-def test_unimplemented_dimension_exit2(capsys, tmp_path):
-    # exit 1 means a failed verification, so an unsupported n must not use it
+def test_toeplitz_spectrum_n4_identity(capsys, tmp_path):
     path = write_measure(tmp_path, me.nu_alpha_measure(4, 0.5))
-    code, out, err = run(capsys, ["toeplitz", "spectrum", "--file", path, "--n", "4",
+    code, out, _ = run(capsys, ["toeplitz", "spectrum", "--file", path, "--n", "4",
+                                "--alpha", "0.5", "--s", "1", "--K", "2"])
+    assert code == 0
+    ev = json.loads(out)["eigenvalues"]
+    assert len(ev) == 1 + 4 + 9
+    assert max(abs(v - 1.0) for v in ev) <= 1e-10
+
+
+def test_dimension_mismatch_exit2(capsys, tmp_path):
+    # exit 1 means a failed verification, so bad input must not use it
+    path = write_measure(tmp_path, me.nu_alpha_measure(2, 0.5))
+    code, out, err = run(capsys, ["toeplitz", "spectrum", "--file", path, "--n", "3",
                                   "--alpha", "0.5", "--s", "1", "--K", "2"])
     assert code == 2
     assert out == ""
-    assert err.startswith("not implemented:") and err.count("\n") == 1
+    assert err.startswith("error: dimension mismatch") and err.count("\n") == 1
 
 
 def test_measure_averaging_volume_is_one(capsys, tmp_path):
@@ -310,6 +320,22 @@ def test_verify_report_identical_for_identical_arguments():
 def test_verify_unknown_suite_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "bogus"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "bracket-scan", "--beta", "0", "--s", "1", "--radii", "0.9",
+     "--level", "8"],
+    ["verify", "all", "--seed", "3"],
+    ["kernel", "eval", "--alpha", "0", "--x", "0,0", "--y", "0,0",
+     "--horizon", "0.9"],
+    ["lattice", "--delta", "0.5", "--level", "8"],
+    ["toeplitz", "spectrum", "--file", "mu.json", "--tol", "1e-6"],
+])
+def test_unread_option_usage_error(capsys, argv):
+    # a subcommand accepts only the options it reads
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
     assert exc.value.code == 2
 
 

@@ -22,6 +22,26 @@ def test_basis_spec_validation():
     assert sp.size == 1 + 2 * sp.max_degree
 
 
+@pytest.mark.parametrize("n,K", [(2, 8), (3, 6), (4, 4), (5, 3)])
+def test_basis_orthonormal_any_n(n, K):
+    # the Gram of the basis under the pairing, by a rule exact at degree 2K
+    sp = tp.BasisSpec(n, 0.5, 1.0, K)
+    basis, degrees = tp.basis_build(sp)
+    assert len(basis) == sp.size and degrees == sorted(degrees)
+    rule = ca.quadrature_build(n, sp.Phi, K + 1)
+    E = np.stack([ca.evaluate_batch(ca.dts_apply(sp.s, sp.u, e), rule.points)
+                  for e in basis])
+    G = kc.v_alpha(n, sp.Phi) / kc.v_alpha(n, sp.alpha) * (E * rule.weights) @ E.T
+    assert np.max(np.abs(G - np.eye(sp.size))) <= 1e-12
+
+
+def test_basis_size_guard_refuses_at_once():
+    # n = 6, K = 8: 118,098 candidate poles times h_8 = 825
+    with pytest.raises(ParameterError, match="pivot-table"):
+        tp.basis_build(tp.BasisSpec(6, 0.5, 1.0, 8))
+    tp.BasisSpec(6, 0.5, 1.0, 4).validate()
+
+
 def test_identity_anchor_n2():
     for alpha, s in ((0.0, 1.0), (0.5, 0.5), (1.0, 2.0)):
         sp = tp.BasisSpec(2, alpha, s, 6)
@@ -243,7 +263,7 @@ def _section_pairing_matrix(mu, sp, t, shifted):
     return pref * (A @ (B * wts[None, :]).T)
 
 
-@pytest.mark.parametrize("n,K", [(2, 6), (3, 4)])
+@pytest.mark.parametrize("n,K", [(2, 6), (3, 4), (4, 3)])
 def test_kernel_section_coords_match_pairing(n, K):
     mu = _mixed_measure(n, 50, density=False)
     sp = tp.BasisSpec(n, 0.5, 1.0, K)
@@ -293,7 +313,7 @@ def test_operator_density_terms_match_quadrature():
         assert np.max(np.abs(got - ref)) <= 1e-10
 
 
-@pytest.mark.parametrize("n,K", [(2, 8), (3, 4)])
+@pytest.mark.parametrize("n,K", [(2, 8), (3, 4), (4, 4)])
 def test_intertwine_atoms_and_power_weight(n, K):
     mu = _mixed_measure(n, 52)
     sp = tp.BasisSpec(n, 0.0, 1.0, K)
