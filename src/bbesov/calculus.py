@@ -38,12 +38,6 @@ class HarmonicPolynomial:
         return HarmonicPolynomial(self.n, out)
 
 
-def constant_poly(n: int, value: float = 1.0) -> HarmonicPolynomial:
-    pole = np.zeros(n)
-    pole[0] = 1.0
-    return HarmonicPolynomial(n, {0: [(value, pole)]})
-
-
 def evaluate_batch(f: HarmonicPolynomial, X) -> np.ndarray:
     """f(x) at each row of X, shape (N, n)."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -285,7 +279,7 @@ def quadrature_build(n: int, weight_exponent: float, level: int = 64) -> Quadrat
 
 
 # --------------------------------------------------------------------------
-# norms, inner products, projection
+# norms and inner products
 
 
 def besov_norm(params: SpaceParams, f: HarmonicPolynomial,
@@ -315,22 +309,6 @@ def radial_moment(n: int, w: float, k: int) -> float:
     return kc.pochhammer(n / 2.0, k) / kc.pochhammer(n / 2.0 + w + 1.0, k)
 
 
-def inner_product_u(alpha: float, s: float, u: float,
-                    f: HarmonicPolynomial, g: HarmonicPolynomial,
-                    rule: QuadratureRule | None = None) -> float:
-    """Pairing int (I f)(I g) dnu_alpha with order-u operators (quadrature)."""
-    Phi = alpha + 2.0 * u
-    if Phi <= -1.0:
-        raise ParameterError("alpha + 2u > -1", f"alpha + 2u = {Phi} <= -1")
-    if rule is None:
-        rule = quadrature_build(f.n, Phi)
-    df = dts_apply(s, u, f)
-    dg = dts_apply(s, u, g)
-    vals = evaluate_batch(df, rule.points) * evaluate_batch(dg, rule.points)
-    pref = kc.v_alpha(f.n, Phi) / kc.v_alpha(f.n, alpha)
-    return pref * float(np.dot(rule.weights, vals))
-
-
 def inner_product_u_closed(alpha: float, s: float, u: float,
                            f: HarmonicPolynomial, g: HarmonicPolynomial) -> float:
     """Exact value of the order-u pairing, by degree orthogonality.
@@ -358,24 +336,6 @@ def inner_product_u_closed(alpha: float, s: float, u: float,
         ratio = gam_su[k] / gam_s[k]
         total += ratio**2 * radial_moment(n, Phi, k) * cross
     return pref * total
-
-
-def project(Phi: float, f: HarmonicPolynomial, x,
-            rule: QuadratureRule | None = None, tol: float = 1e-10):
-    """Kernel projection integral at x; reproduces harmonic polynomials.
-
-    x of shape (N, n) gives an (N,) array: f is evaluated on the rule once,
-    and each point takes one kernel row.
-    """
-    if Phi <= -1.0:
-        raise ParameterError("weight exponent > -1", f"Phi = {Phi} <= -1")
-    if rule is None:
-        rule = quadrature_build(f.n, Phi)
-    x = np.asarray(x, dtype=np.float64)
-    fv = evaluate_batch(f, rule.points)
-    out = np.array([np.dot(rule.weights, kc.kernel_eval_batch(f.n, Phi, xi, rule.points, tol)
-                           * fv) for xi in np.atleast_2d(x)])
-    return float(out[0]) if x.ndim == 1 else out
 
 
 # --------------------------------------------------------------------------

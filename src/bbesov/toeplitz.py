@@ -196,6 +196,8 @@ def _section_operator(mu: me.Measure, spec: BasisSpec, t: float,
     weight s - alpha + t for mu and 0 for kappa, whose exponent already
     carries the reweighting.
     """
+    if mu.n != spec.n:
+        raise ValueError("dimension mismatch between measure and basis")
     basis, degrees = basis_build(spec)
     n, kmax = spec.n, spec.max_degree
     gam_s = kc.gamma_coeffs(n, spec.s, kmax)

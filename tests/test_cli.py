@@ -12,7 +12,7 @@ from bbesov import calculus as ca
 from bbesov import kernelcore as kc
 from bbesov import measures as me
 from bbesov import verify as vf
-from bbesov.cli import main
+from bbesov.cli import VERIFY_SUITES, main
 
 
 def write_measure(tmp_path, mu, name="mu.json"):
@@ -155,6 +155,15 @@ def test_dimension_mismatch_exit2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: dimension mismatch") and err.count("\n") == 1
+
+
+def test_intertwine_dimension_mismatch_exit2(capsys, tmp_path):
+    # the atom's coordinates must not reach a matmul against a 3-d basis
+    path = write_measure(tmp_path, me.Measure(2, [(np.array([0.4, -0.1]), 1.0)], None))
+    code, out, err = run(capsys, ["toeplitz", "intertwine", "--file", path, "--n", "3",
+                                  "--K", "2", "--t", "0.5"])
+    assert (code, out) == (2, "")
+    assert err == "error: dimension mismatch between measure and basis\n"
 
 
 def test_measure_averaging_volume_is_one(capsys, tmp_path):
@@ -317,6 +326,11 @@ def test_verify_report_identical_for_identical_arguments():
     assert vf.report_json(vf.run("kernels")) == vf.report_json(vf.run("kernels"))
 
 
+def test_verify_suite_choices_match_suites():
+    # the parser lists the suites without importing the verify layer
+    assert VERIFY_SUITES == list(vf.SUITES) + ["all"]
+
+
 def test_verify_unknown_suite_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "bogus"])
@@ -358,13 +372,16 @@ for argv in json.loads(sys.argv[1]):
         code = main(argv)
     runs.append([code, out.getvalue()])
 print(json.dumps({"runs": runs, "scipy": sorted(m for m in sys.modules
-                                                 if m.split(".")[0] == "scipy")}))
+                                                 if m.split(".")[0] == "scipy"),
+                  "bbesov": sorted(m.partition(".")[2] for m in sys.modules
+                                   if m.startswith("bbesov.") and m != "bbesov.cli")}))
 """
 
 
 def _child_process(argvs, mode):
     """Run main(argv) for each argv in one child interpreter, which prints its
-    (exit code, stdout) per argv and the scipy modules it holds at the end.
+    (exit code, stdout) per argv and the scipy modules and bbesov submodules
+    other than cli that it holds at the end.
     mode is a comma list: "block" makes every scipy import raise ImportError,
     "import-scipy" imports scipy.special before bbesov.  The child inherits
     the caller's environment, with the bbesov under test first on its path."""
@@ -415,6 +432,26 @@ def test_cli_runs_with_scipy_blocked(perfbench_runs):
     assert blocked["runs"] == plain["runs"]
     # the block is real: a direct import fails
     assert "ImportError: scipy is blocked" in _child_process([], "block,import-scipy").stderr
+
+
+_EVAL_LOADS = {"kernelcore", "errors"}
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (None, {"errors"}),
+    (["kernel", "eval", "--alpha", "0.3", "--x", "0.1,0", "--y", "0,0.2"], _EVAL_LOADS),
+    (["kernel", "norm-scan", "--alpha", "1", "--p", "2", "--beta", "0",
+      "--radii", "0.9,0.95"], _EVAL_LOADS | {"calculus"}),
+    (["kernel", "bracket-scan", "--beta", "0", "--s", "1", "--radii", "0.9,0.95"],
+     _EVAL_LOADS | {"calculus"}),
+    (["lattice", "--delta", "0.5", "--horizon", "0.6"], _EVAL_LOADS | {"calculus", "geometry"}),
+], ids=["import-only", "eval", "norm-scan", "bracket-scan", "lattice"])
+def test_command_loads_only_its_layers(argv, loaded):
+    # a fresh interpreter, so no other test's imports count; import bbesov.cli
+    # alone (argv None) loads no layer
+    got = _child([argv] if argv else [])
+    assert [code for code, _ in got["runs"]] == ([0] if argv else [])
+    assert set(got["bbesov"]) == loaded
 
 
 def test_refused_rule_exits_2(capsys, monkeypatch):

@@ -7,6 +7,8 @@ from bbesov import measures as me
 from bbesov import toeplitz as tp
 from bbesov.errors import ParameterError
 
+from oracles import constant_poly
+
 
 def spec2(alpha=0.5, s=1.0, K=6):
     return tp.BasisSpec(2, alpha, s, K)
@@ -245,7 +247,7 @@ def _section_pairing_matrix(mu, sp, t, shifted):
     for a, y in enumerate(Y):
         ry = float(np.linalg.norm(y))
         if ry == 0.0:
-            sec = ca.constant_poly(sp.n, gam[0])
+            sec = constant_poly(sp.n, gam[0])
         else:
             sec = ca.HarmonicPolynomial(sp.n, {
                 k: [(float(gam[k] * ry**k), y / ry)]
