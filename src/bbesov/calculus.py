@@ -7,12 +7,14 @@ throughout (each degree is simply rescaled) and evaluable in any dimension.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import kernelcore as kc
 from .errors import ParameterError, TruncationError
-# perfbench/tracer.py wraps this name, so it stays an import of its own
+# no calculus code calls this name; it stays because perfbench/tracer.py
+# wraps it here
 from .kernelcore import zonal_series
 
 
@@ -38,18 +40,44 @@ class HarmonicPolynomial:
         return HarmonicPolynomial(self.n, out)
 
 
+def _atom_arrays(f: HarmonicPolynomial):
+    """Degrees (A,), coefficients (A,) and unit poles (A, n) of f's atoms."""
+    atoms = [(k, c, eta) for k, part in f.parts.items() for c, eta in part]
+    deg = np.array([k for k, _, _ in atoms], dtype=np.int64)
+    coef = np.array([c for _, c, _ in atoms], dtype=np.float64)
+    poles = np.array([eta for _, _, eta in atoms], dtype=np.float64).reshape(-1, f.n)
+    return deg, coef, poles
+
+
+def degree_values(f: HarmonicPolynomial, X) -> np.ndarray:
+    """(max_degree + 1, N) array whose row k is f_k, the degree-k part of f,
+    at each row of X, shape (N, n).
+
+    One zonal recurrence (kc.zonal_terms) runs over the (rows x atoms)
+    matrix of x . eta at a2 = |x|^2; its step k adds the degree-k columns
+    times their coefficients.  Rows go in blocks of about 256 KB per
+    temporary.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    out = np.zeros((f.max_degree() + 1, X.shape[0]))
+    deg, coef, poles = _atom_arrays(f)
+    if deg.size == 0:
+        return out
+    cols = [np.flatnonzero(deg == k) for k in range(out.shape[0])]
+    nu = (f.n - 2) / 2.0
+    step = max(1, 32768 // deg.size)
+    for s in range(0, X.shape[0], step):
+        Xb = X[s:s + step]
+        a2 = np.einsum("ij,ij->i", Xb, Xb)[:, None]
+        for k, S in zip(range(out.shape[0]), kc.zonal_terms(nu, Xb @ poles.T, a2)):
+            if cols[k].size:
+                out[k, s:s + step] = S[:, cols[k]] @ coef[cols[k]]
+    return out
+
+
 def evaluate_batch(f: HarmonicPolynomial, X) -> np.ndarray:
     """f(x) at each row of X, shape (N, n)."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    nx2 = np.einsum("ij,ij->i", X, X)
-    nu = (f.n - 2) / 2.0
-    out = np.zeros(X.shape[0])
-    for k, atoms in f.parts.items():
-        onehot = np.zeros(k + 1)
-        onehot[k] = 1.0
-        for c, eta in atoms:
-            out += c * zonal_series(onehot, nu, X @ eta, nx2)
-    return out
+    return degree_values(f, X).sum(axis=0)
 
 
 def evaluate(f: HarmonicPolynomial, x) -> float:
@@ -113,10 +141,24 @@ class SpaceParams:
 
 @dataclass
 class QuadratureRule:
+    """Product of a radial rule and a sphere rule; points and weights, radius
+    major, are derived from the two factors on first use."""
     n: int
     weight_exponent: float
-    points: np.ndarray   # (N, n)
-    weights: np.ndarray  # (N,), sums to 1
+    radii: np.ndarray           # (R,)
+    radial_weights: np.ndarray  # (R,), sums to 1
+    dirs: np.ndarray            # (D, n) unit vectors
+    dir_weights: np.ndarray     # (D,), sums to 1
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """(R * D, n) nodes r_i d_j."""
+        return (self.radii[:, None, None] * self.dirs[None, :, :]).reshape(-1, self.n)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """(R * D,) weights, summing to 1."""
+        return np.outer(self.radial_weights, self.dir_weights).ravel()
 
 
 # Largest polar rule built; 2**24 nodes in R^4 take 512 MB of coordinates.
@@ -272,10 +314,9 @@ def quadrature_build(n: int, weight_exponent: float, level: int = 64) -> Quadrat
     if size > MAX_RULE_NODES:
         raise ParameterError(f"at most {MAX_RULE_NODES} quadrature nodes",
                              f"a level-{level} rule in R^{n} has {size} nodes")
-    r, wr = _radial_rule(n, float(weight_exponent), level)
-    dirs, wd = sphere_rule(n, level)
-    pts = (r[:, None, None] * dirs[None, :, :]).reshape(-1, n)
-    return QuadratureRule(n, float(weight_exponent), pts, np.outer(wr, wd).ravel())
+    return QuadratureRule(n, float(weight_exponent),
+                          *_radial_rule(n, float(weight_exponent), level),
+                          *sphere_rule(n, level))
 
 
 # --------------------------------------------------------------------------
@@ -295,10 +336,13 @@ def besov_norm(params: SpaceParams, f: HarmonicPolynomial,
         raise ValueError("rule weight exponent must equal alpha + p*t")
     if not f.parts:
         return 0.0
-    df = dts_apply(params.s, params.t, f)
-    vals = np.abs(evaluate_batch(df, rule.points)) ** params.p
+    # a degree-k part is k-homogeneous, f_k(r d) = r^k f_k(d): evaluate the
+    # parts on the directions only, and let the radii scale them
+    F = degree_values(dts_apply(params.s, params.t, f), rule.dirs)
+    vals = np.abs((rule.radii[:, None] ** np.arange(F.shape[0])) @ F) ** params.p
     pref = kc.v_alpha(params.n, w) / kc.v_alpha(params.n, params.alpha)
-    return float((pref * float(np.dot(rule.weights, vals))) ** (1.0 / params.p))
+    total = float(rule.radial_weights @ vals @ rule.dir_weights)
+    return float((pref * total) ** (1.0 / params.p))
 
 
 def radial_moment(n: int, w: float, k: int) -> float:
@@ -314,7 +358,8 @@ def inner_product_u_closed(alpha: float, s: float, u: float,
     """Exact value of the order-u pairing, by degree orthogonality.
 
     For same-degree zonal atoms the sphere average of Z_k(., eta) Z_k(., xi)
-    is Z_k(eta, xi); different degrees are orthogonal, and the radial factor
+    is Z_k(eta, xi), so degree k pairs f_k at g's degree-k poles with g's
+    coefficients; different degrees are orthogonal, and the radial factor
     is the closed-form moment of |x|^{2k}.
     """
     n = f.n
@@ -325,17 +370,12 @@ def inner_product_u_closed(alpha: float, s: float, u: float,
     gam_su = kc.gamma_coeffs(n, s + u, kmax)
     gam_s = kc.gamma_coeffs(n, s, kmax)
     pref = kc.v_alpha(n, Phi) / kc.v_alpha(n, alpha)
-    total = 0.0
-    for k in f.parts:
-        if k not in g.parts:
-            continue
-        cross = 0.0
-        for c, eta in f.parts[k]:
-            for d, xi in g.parts[k]:
-                cross += c * d * kc.zonal(n, k, eta, xi)
-        ratio = gam_su[k] / gam_s[k]
-        total += ratio**2 * radial_moment(n, Phi, k) * cross
-    return pref * total
+    moments = np.array([radial_moment(n, Phi, k) for k in range(kmax + 1)])
+    deg, coef, poles = _atom_arrays(g)
+    keep = np.flatnonzero(deg <= f.max_degree())
+    fk = degree_values(f, poles)[deg[keep], keep]  # f_k at g's degree-k poles
+    k = deg[keep]
+    return pref * float(np.sum((gam_su[k] / gam_s[k]) ** 2 * moments[k] * coef[keep] * fk))
 
 
 # --------------------------------------------------------------------------
@@ -381,15 +421,12 @@ def _kernel_power_integral_p2(n: int, alpha: float, r, moments):
     # choose truncation from the plain-kernel planner at q = max r (terms decay
     # at least as fast once multiplied by the moment ratio, which is <= 1)
     K = kc.plan_terms(n, alpha, rmax * rmax, 1e-14) + 16
-    gam = kc.gamma_coeffs(n, alpha, K)
-    h = kc.hdim_coeffs(n, K)
-    ks = np.arange(K + 1)
-    m = moments(K)
-    rows = np.atleast_1d(r)
-    # blocks of 256 radii keep the (radii x terms) table small
-    sums = [(gam**2 * h * rb[:, None] ** (2 * ks) * m).sum(axis=-1)
-            for rb in np.split(rows, range(256, rows.size, 256))]
-    out = np.concatenate(sums)
+    c = kc.gamma_coeffs(n, alpha, K) ** 2 * kc.hdim_coeffs(n, K) * moments(K)
+    r2 = np.atleast_1d(r) ** 2
+    # Horner evaluation of the power series in r2
+    out = np.zeros_like(r2)
+    for ck in c[::-1]:
+        out = out * r2 + ck
     return float(out[0]) if r.ndim == 0 else out
 
 
@@ -459,9 +496,7 @@ def kernel_norm_scan(alpha: float, p: float, beta: float, radii,
     radii = np.asarray(radii, dtype=np.float64)
     # V_beta undoes the normalization of the weight-beta moments and rule
     if p == 2:
-        vals = np.array([_kernel_power_integral_p2(n, alpha, float(r),
-                                                   lambda K: radial_moments(n, beta, K))
-                         for r in radii])
+        vals = _kernel_power_integral_p2(n, alpha, radii, lambda K: radial_moments(n, beta, K))
     else:
         vals = kernel_power_integral(n, alpha, p, radii,
                                      lambda m: _radial_rule(n, beta, m), level)

@@ -196,7 +196,6 @@ def cmd_toeplitz(args):
     from . import toeplitz as tp
     with open(args.file) as fh:
         mu = me.measure_from_json(fh.read())
-    spec = tp.BasisSpec(args.n, args.alpha, args.s, args.K)
     if args.toeplitz_cmd == "bounded":
         est = tp.boundedness_estimate(mu, args.p1, args.alpha1, args.p2,
                                       args.alpha2, args.s, args.t,
@@ -212,6 +211,7 @@ def cmd_toeplitz(args):
                            "carleson_kind": crep.kind,
                            "horizon": crep.horizon}))
         return 0
+    spec = tp.BasisSpec(args.n, args.alpha, args.s, args.K)
     if args.toeplitz_cmd == "matrix":
         M = tp.toeplitz_matrix(mu, spec, args.level)
         lines = [",".join(_fmt(v) for v in row) for row in M.entries]
@@ -344,10 +344,11 @@ def build_parser():
                          ("bounded", ("horizon", "level", "seed"))):
         p = ts.add_parser(name)
         p.add_argument("--file", required=True)
-        p.add_argument("--n", type=int, default=2)
-        p.add_argument("--alpha", type=float, default=0.0)
+        if name != "bounded":  # the basis; bounded builds none
+            p.add_argument("--n", type=int, default=2)
+            p.add_argument("--alpha", type=float, default=0.0)
+            p.add_argument("--K", type=int, default=8)
         p.add_argument("--s", type=float, default=1.0)
-        p.add_argument("--K", type=int, default=8)
         if name == "spectrum":
             p.add_argument("--p-list", default="1,2")
         if name == "schatten":

@@ -47,8 +47,8 @@ def dim_harmonics(n: int, k: int) -> int:
     return math.comb(n + k - 1, k) - math.comb(n + k - 3, k - 2)
 
 
-def _gamma_ratio(n: int, alpha: float, k: int) -> float:
-    """gamma_{k+1}(alpha) / gamma_k(alpha)."""
+def _gamma_ratio(n: int, alpha: float, k):
+    """gamma_{k+1}(alpha) / gamma_k(alpha), elementwise for an array k."""
     half = n / 2.0
     if alpha > -(1.0 + half):
         return (1.0 + half + alpha + k) / (half + k)
@@ -60,17 +60,15 @@ def _gamma_array(n: int, alpha: float, kmax: int) -> np.ndarray:
     arr = _gamma_cache.get(key)
     if arr is None or arr.shape[0] <= kmax:
         size = max(kmax + 1, 64)
-        if arr is not None:
-            size = max(size, 2 * arr.shape[0])
-        new = np.empty(size, dtype=np.float64)
-        if arr is not None:
-            m = arr.shape[0]
-            new[:m] = arr
+        if arr is None:
+            arr = np.ones(1)
         else:
-            new[0] = 1.0
-            m = 1
-        for k in range(m - 1, size - 1):
-            new[k + 1] = new[k] * _gamma_ratio(n, alpha, k)
+            size = max(size, 2 * arr.shape[0])
+        m = arr.shape[0]
+        # one running product seeded with the last known value multiplies in
+        # the same order as a term-by-term fill, so the table is bit-identical
+        ratios = _gamma_ratio(n, alpha, np.arange(m - 1, size - 1, dtype=np.float64))
+        new = np.concatenate((arr[:-1], np.cumprod(np.concatenate((arr[-1:], ratios)))))
         new.setflags(write=False)  # callers get views of the shared cache
         if key not in _gamma_cache and len(_gamma_cache) >= GAMMA_CACHE_KEYS:
             del _gamma_cache[next(iter(_gamma_cache))]

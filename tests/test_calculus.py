@@ -21,6 +21,40 @@ def test_evaluate_constant_and_degree_one():
     assert ca.evaluate(g, np.array([0.3, 0.4])) == pytest.approx(2 * 2 * 0.3)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_degree_values_match_per_atom_zonal(n):
+    rng = np.random.default_rng(40 + n)
+    f = ca.random_polynomial(n, 7, 40 + n)
+    del f.parts[3]  # a degree with no atoms gives a zero row
+    atoms = sum(len(a) for a in f.parts.values())
+    step = 32768 // atoms  # rows per block
+    X = rng.uniform(-0.55, 0.55, (step + 7, n))
+    F = ca.degree_values(f, X)
+    assert F.shape == (8, X.shape[0])
+    assert not F[3].any()
+    # per atom, the old one-series-per-atom path on every row ...
+    nx2 = np.einsum("ij,ij->i", X, X)
+    want = np.zeros_like(F)
+    for k, part in f.parts.items():
+        onehot = np.eye(k + 1)[k]
+        for c, eta in part:
+            want[k] += c * kc.zonal_series(onehot, (n - 2) / 2.0, X @ eta, nx2)
+    scale = np.abs(want).max()
+    np.testing.assert_allclose(F, want, rtol=1e-12, atol=1e-13 * scale)
+    # ... and scalar kc.zonal on rows at both ends of each block
+    for i in (0, 1, step - 1, step, step + 1, X.shape[0] - 1):
+        for k, part in f.parts.items():
+            got = sum(c * kc.zonal(n, k, X[i], eta) for c, eta in part)
+            assert F[k, i] == pytest.approx(got, rel=1e-12, abs=1e-13 * scale)
+    assert np.array_equal(ca.evaluate_batch(f, X), F.sum(axis=0))
+
+
+def test_degree_values_of_empty_polynomial():
+    X = np.full((5, 3), 0.1)
+    assert np.array_equal(ca.degree_values(ca.HarmonicPolynomial(3, {}), X), np.zeros((1, 5)))
+    assert np.array_equal(ca.evaluate_batch(ca.HarmonicPolynomial(3, {2: []}), X), np.zeros(5))
+
+
 def test_harmonicity_mean_value():
     # zonal atoms are harmonic: circle means reproduce the center value
     rng = np.random.default_rng(10)
@@ -77,6 +111,30 @@ def test_besov_norm_constant_oracle():
         expect = (kc.v_alpha(n, alpha + p * t) / kc.v_alpha(n, alpha)) ** (1 / p)
         # degree-0 part of D^t_s 1 is gamma_0-ratio = 1
         assert val == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_besov_norm_matches_full_rule_sum(n, p):
+    # the norm evaluates degree parts on the rule's directions and lets the
+    # radii scale them; the sum over every node of the product rule agrees
+    alpha, s, t = 0.5, 1.0, 0.75
+    w = alpha + p * t
+    rule = ca.quadrature_build(n, w, 32 if n == 2 else 12)
+    f = ca.random_polynomial(n, 6, 50 + n)
+    vals = np.abs(ca.evaluate_batch(ca.dts_apply(s, t, f), rule.points)) ** p
+    want = (kc.v_alpha(n, w) / kc.v_alpha(n, alpha) * float(rule.weights @ vals)) ** (1 / p)
+    got = ca.besov_norm(ca.SpaceParams(n, p, alpha, s, t), f, rule)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_quadrature_points_and_weights_from_factors():
+    for n, level in ((2, 8), (3, 5)):
+        rule = ca.quadrature_build(n, 0.5, level)
+        r, wr = ca._radial_rule(n, 0.5, level)
+        dirs, wd = ca.sphere_rule(n, level)
+        assert np.array_equal(rule.points, (r[:, None, None] * dirs[None]).reshape(-1, n))
+        assert np.array_equal(rule.weights, np.outer(wr, wd).ravel())
 
 
 def test_quadrature_moments_exact():
@@ -228,6 +286,28 @@ def test_kernel_power_integral_p2_matches_series(n):
                                    lambda m: ca._radial_rule(n, 0.3, m), 16)
     want = ca._kernel_power_integral_p2(n, 0.5, radii, lambda K: ca.radial_moments(n, 0.3, K))
     np.testing.assert_allclose(got, want, rtol=1e-10)
+
+
+@pytest.mark.parametrize("n, alpha, w", [(2, 0.5, 0.3), (3, -0.5, 0.0), (4, 1.5, 2.0)])
+def test_kernel_power_integral_p2_matches_mpmath_terms(n, alpha, w):
+    # sum_k gamma_k^2 h_k r^(2k) M_k term by term at 40 digits, from the
+    # closed-form ratios of gamma_k (alpha > -(1 + n/2)) and of the moments
+    mpmath = pytest.importorskip("mpmath")
+    radii = np.array([0.0, 0.3, 0.9, 0.99])
+    got = ca._kernel_power_integral_p2(n, alpha, radii, lambda K: ca.radial_moments(n, w, K))
+    with mpmath.workdps(40):
+        h = mpmath.mpf(n) / 2
+        for r, value in zip(radii, got):
+            q, term, total, k = mpmath.mpf(float(r)) ** 2, mpmath.mpf(1), mpmath.mpf(1), 0
+            while q and term > total * mpmath.mpf(10) ** -30:
+                g = (1 + h + alpha + k) / (h + k)
+                term *= (g * g * kc.dim_harmonics(n, k + 1) / kc.dim_harmonics(n, k)
+                         * q * (h + k) / (h + w + 1 + k))
+                total += term
+                k += 1
+            assert value == pytest.approx(float(total), rel=1e-13)
+    assert ca._kernel_power_integral_p2(n, alpha, 0.9, lambda K: ca.radial_moments(n, w, K)) \
+        == pytest.approx(got[2], rel=1e-15)
 
 
 def test_kernel_norm_scan_n4_level_independent():

@@ -293,7 +293,7 @@ def test_toeplitz_intertwine_residual(capsys, tmp_path):
 def test_toeplitz_bounded_identity(capsys, tmp_path):
     path = write_measure(tmp_path, me.nu_alpha_measure(2, 0.5))
     code, out, _ = run(capsys, ["toeplitz", "bounded", "--file", path,
-                                "--alpha", "0.5", "--s", "1.0",
+                                "--s", "1.0",
                                 "--p1", "2.0", "--alpha1", "0.5",
                                 "--p2", "2.0", "--alpha2", "0.5",
                                 "--t", "0.5", "--trials", "4",
@@ -303,6 +303,19 @@ def test_toeplitz_bounded_identity(capsys, tmp_path):
     assert doc["estimate"] == pytest.approx(1.0, rel=1e-6)
     assert doc["zeta"] == pytest.approx(1.0)
     assert "carleson_statistic" in doc and "carleson_kind" in doc
+
+
+def test_toeplitz_bounded_refuses_basis_options(capsys, tmp_path):
+    # bounded takes its dimension from the file and builds no basis, so it
+    # does not accept --n, --alpha or --K
+    path = write_measure(tmp_path, me.nu_alpha_measure(2, 0.5))
+    with pytest.raises(SystemExit) as exc:
+        main(["toeplitz", "bounded", "--file", path, "--n", "3",
+              "--p1", "2", "--alpha1", "0.5", "--p2", "2", "--alpha2", "0.5",
+              "--t", "0.5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "unrecognized arguments: --n 3" in err
 
 
 def test_toeplitz_bad_spec_exit2(capsys, tmp_path):

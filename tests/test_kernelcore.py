@@ -71,6 +71,29 @@ def test_gamma_cache_bounded_oldest_first(monkeypatch):
     assert again.tobytes() == first.tobytes()
 
 
+def _gamma_loop(n, alpha, size):
+    """gamma_0 .. gamma_{size-1} filled term by term in Python floats."""
+    half, out = n / 2.0, [1.0]
+    for k in range(size - 1):
+        if alpha > -(1.0 + half):
+            ratio = (1.0 + half + alpha + k) / (half + k)
+        else:
+            ratio = (k + 1.0) ** 2 / ((1.0 - (half + alpha) + k) * (half + k))
+        out.append(out[-1] * ratio)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("alpha", [0.75, -4.25])  # one per branch
+def test_gamma_array_bit_equal_to_loop(monkeypatch, n, alpha):
+    monkeypatch.setattr(kc, "_gamma_cache", {})
+    fresh = kc._gamma_array(n, alpha, 100)
+    assert np.array_equal(fresh, _gamma_loop(n, alpha, fresh.size))
+    grown = kc._gamma_array(n, alpha, 1000)  # extends the cached table
+    assert grown.size > fresh.size
+    assert np.array_equal(grown, _gamma_loop(n, alpha, grown.size))
+
+
 def test_gamma_growth_exponent():
     # gamma_k ~ k^(1+alpha) on both branches
     for n, alpha in ((2, 1.5), (3, -3.0)):
