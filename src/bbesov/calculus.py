@@ -6,7 +6,7 @@ This representation is closed under the degree-diagonal operators used
 throughout (each degree is simply rescaled) and evaluable in any dimension.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -24,29 +24,36 @@ from .kernelcore import zonal_series
 
 @dataclass
 class HarmonicPolynomial:
+    """Atom a is coefs[a] Z_{degrees[a]}(., poles[a]), poles unit vectors.
+
+    degrees (A,), coefs (A,) and poles (A, n) are copied to read-only
+    arrays and checked once here: the shapes agree and no degree is
+    negative.  A may be 0, the zero polynomial.
+    """
     n: int
-    # degree k -> list of (coefficient, unit pole)
-    parts: dict = field(default_factory=dict)
+    degrees: np.ndarray = ()
+    coefs: np.ndarray = ()
+    poles: np.ndarray = ()
+
+    def __post_init__(self):
+        deg = np.array(self.degrees, dtype=np.int64)
+        coef = np.array(self.coefs, dtype=np.float64)
+        poles = np.array(self.poles, dtype=np.float64).reshape(-1, self.n)
+        if not deg.shape == coef.shape == (poles.shape[0],):
+            raise ValueError(f"{poles.shape[0]} poles in R^{self.n} but degrees of "
+                             f"shape {deg.shape} and coefficients of shape {coef.shape}")
+        if not np.all(deg >= 0):
+            raise ValueError("degrees must be nonnegative")
+        deg.flags.writeable = coef.flags.writeable = poles.flags.writeable = False
+        self.degrees, self.coefs, self.poles = deg, coef, poles
 
     def max_degree(self) -> int:
-        return max(self.parts, default=0)
+        return int(self.degrees.max(initial=0))
 
-    def scaled(self, factors: dict) -> "HarmonicPolynomial":
+    def scaled(self, factors) -> "HarmonicPolynomial":
         """New polynomial with degree-k part multiplied by factors[k]."""
-        out = {}
-        for k, atoms in self.parts.items():
-            fk = factors[k]
-            out[k] = [(c * fk, eta) for c, eta in atoms]
-        return HarmonicPolynomial(self.n, out)
-
-
-def _atom_arrays(f: HarmonicPolynomial):
-    """Degrees (A,), coefficients (A,) and unit poles (A, n) of f's atoms."""
-    atoms = [(k, c, eta) for k, part in f.parts.items() for c, eta in part]
-    deg = np.array([k for k, _, _ in atoms], dtype=np.int64)
-    coef = np.array([c for _, c, _ in atoms], dtype=np.float64)
-    poles = np.array([eta for _, _, eta in atoms], dtype=np.float64).reshape(-1, f.n)
-    return deg, coef, poles
+        return HarmonicPolynomial(self.n, self.degrees,
+                                  self.coefs * np.asarray(factors)[self.degrees], self.poles)
 
 
 def degree_values(f: HarmonicPolynomial, X) -> np.ndarray:
@@ -60,18 +67,17 @@ def degree_values(f: HarmonicPolynomial, X) -> np.ndarray:
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     out = np.zeros((f.max_degree() + 1, X.shape[0]))
-    deg, coef, poles = _atom_arrays(f)
-    if deg.size == 0:
+    if f.degrees.size == 0:
         return out
-    cols = [np.flatnonzero(deg == k) for k in range(out.shape[0])]
+    cols = [np.flatnonzero(f.degrees == k) for k in range(out.shape[0])]
     nu = (f.n - 2) / 2.0
-    step = max(1, 32768 // deg.size)
+    step = max(1, 32768 // f.degrees.size)
     for s in range(0, X.shape[0], step):
         Xb = X[s:s + step]
         a2 = np.einsum("ij,ij->i", Xb, Xb)[:, None]
-        for k, S in zip(range(out.shape[0]), kc.zonal_terms(nu, Xb @ poles.T, a2)):
+        for k, S in zip(range(out.shape[0]), kc.zonal_terms(nu, Xb @ f.poles.T, a2)):
             if cols[k].size:
-                out[k, s:s + step] = S[:, cols[k]] @ coef[cols[k]]
+                out[k, s:s + step] = S[:, cols[k]] @ f.coefs[cols[k]]
     return out
 
 
@@ -86,27 +92,20 @@ def evaluate(f: HarmonicPolynomial, x) -> float:
 
 def dts_apply(s: float, t: float, f: HarmonicPolynomial) -> HarmonicPolynomial:
     """Degree-diagonal operator: degree-k part scaled by gamma_k(s+t)/gamma_k(s)."""
-    if not f.parts:
-        return HarmonicPolynomial(f.n, {})
     kmax = f.max_degree()
-    num = kc.gamma_coeffs(f.n, s + t, kmax)
-    den = kc.gamma_coeffs(f.n, s, kmax)
-    return f.scaled({k: num[k] / den[k] for k in f.parts})
+    return f.scaled(kc.gamma_coeffs(f.n, s + t, kmax) / kc.gamma_coeffs(f.n, s, kmax))
 
 
 def random_polynomial(n: int, max_degree: int, seed: int) -> HarmonicPolynomial:
     """Reproducible random combination of zonal atoms (normal coefficients)."""
     rng = np.random.default_rng(seed)
-    parts = {}
-    for k in range(max_degree + 1):
-        natoms = 1 if k == 0 else 2
-        atoms = []
-        for _ in range(natoms):
-            eta = rng.normal(size=n)
-            eta /= np.linalg.norm(eta)
-            atoms.append((float(rng.normal()), eta))
-        parts[k] = atoms
-    return HarmonicPolynomial(n, parts)
+    degrees = np.repeat(np.arange(max_degree + 1), 2)[1:]  # one atom of degree 0
+    coefs, poles = np.empty(degrees.size), np.empty((degrees.size, n))
+    for a in range(degrees.size):
+        poles[a] = rng.normal(size=n)
+        poles[a] /= np.linalg.norm(poles[a])
+        coefs[a] = rng.normal()
+    return HarmonicPolynomial(n, degrees, coefs, poles)
 
 
 # --------------------------------------------------------------------------
@@ -334,8 +333,6 @@ def besov_norm(params: SpaceParams, f: HarmonicPolynomial,
         rule = quadrature_build(params.n, w)
     if abs(rule.weight_exponent - w) > 1e-12:
         raise ValueError("rule weight exponent must equal alpha + p*t")
-    if not f.parts:
-        return 0.0
     # a degree-k part is k-homogeneous, f_k(r d) = r^k f_k(d): evaluate the
     # parts on the directions only, and let the radii scale them
     F = degree_values(dts_apply(params.s, params.t, f), rule.dirs)
@@ -371,11 +368,10 @@ def inner_product_u_closed(alpha: float, s: float, u: float,
     gam_s = kc.gamma_coeffs(n, s, kmax)
     pref = kc.v_alpha(n, Phi) / kc.v_alpha(n, alpha)
     moments = np.array([radial_moment(n, Phi, k) for k in range(kmax + 1)])
-    deg, coef, poles = _atom_arrays(g)
-    keep = np.flatnonzero(deg <= f.max_degree())
-    fk = degree_values(f, poles)[deg[keep], keep]  # f_k at g's degree-k poles
-    k = deg[keep]
-    return pref * float(np.sum((gam_su[k] / gam_s[k]) ** 2 * moments[k] * coef[keep] * fk))
+    keep = np.flatnonzero(g.degrees <= f.max_degree())
+    k = g.degrees[keep]
+    fk = degree_values(f, g.poles)[k, keep]  # f_k at g's degree-k poles
+    return pref * float(np.sum((gam_su[k] / gam_s[k]) ** 2 * moments[k] * g.coefs[keep] * fk))
 
 
 # --------------------------------------------------------------------------

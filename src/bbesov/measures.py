@@ -11,8 +11,7 @@ radial_rule().
 
 import json
 import math
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -73,31 +72,40 @@ class Density:
 
 @dataclass
 class Measure:
+    """Atoms weights[a] delta_{points[a]} plus an optional radial density.
+
+    points (A, n) and weights (A,) are copied to read-only float64 arrays
+    and checked once here: A may be 0, every weight is positive and every
+    point lies strictly inside the ball (NaN fails both tests).
+    """
     n: int
-    atoms: list = field(default_factory=list)  # (point array, weight > 0)
+    points: np.ndarray = ()
+    weights: np.ndarray = ()
     density: Density | None = None
 
     def __post_init__(self):
-        clean = []
-        for x, w in self.atoms:
-            x = np.asarray(x, dtype=np.float64)
-            if w <= 0:
-                raise ValueError("atom weights must be positive")
-            if float(np.dot(x, x)) >= 1.0:
-                raise ValueError("atom locations must lie strictly inside the ball")
-            clean.append((x, float(w)))
-        self.atoms = clean
+        X = np.array(self.points, dtype=np.float64).reshape(-1, self.n)
+        w = np.array(self.weights, dtype=np.float64)
+        if w.shape != (X.shape[0],):
+            raise ValueError(f"{X.shape[0]} atom points in R^{self.n} "
+                             f"but weights of shape {w.shape}")
+        if not np.all(w > 0.0):
+            raise ValueError("atom weights must be positive")
+        if not np.all(np.einsum("ij,ij->i", X, X) < 1.0):
+            raise ValueError("atom locations must lie strictly inside the ball")
+        X.flags.writeable = w.flags.writeable = False
+        self.points, self.weights = X, w
 
     def scaled(self, c: float) -> "Measure":
         d = self.density
         if d is not None:
             d = replace(d, scale=d.scale * c)
-        return Measure(self.n, [(x, c * w) for x, w in self.atoms], d)
+        return Measure(self.n, self.points, c * self.weights, d)
 
 
 def nu_alpha_measure(n: int, alpha: float) -> Measure:
     """The normalized weight-alpha volume measure as a Measure value."""
-    return Measure(n, [], Density("power-weight", alpha, 1.0 / kc.v_alpha(n, alpha)))
+    return Measure(n, density=Density("power-weight", alpha, 1.0 / kc.v_alpha(n, alpha)))
 
 
 def measure_to_json(mu: Measure) -> str:
@@ -110,7 +118,7 @@ def measure_to_json(mu: Measure) -> str:
             d["values"] = [float(v) for v in mu.density.values]
     return json.dumps({
         "n": mu.n,
-        "atoms": [{"x": [float(v) for v in x], "w": w} for x, w in mu.atoms],
+        "atoms": [{"x": x, "w": w} for x, w in zip(mu.points.tolist(), mu.weights.tolist())],
         "density": d,
     }, separators=(",", ":"))
 
@@ -125,7 +133,7 @@ def measure_from_json(text: str) -> Measure:
         raise ValueError(f"measure file: /n must be an integer >= 2, got {n!r}")
     if not isinstance(doc["atoms"], list):
         raise ValueError("measure file: /atoms must be a list")
-    atoms = []
+    points, weights = [], []
     for i, a in enumerate(doc["atoms"]):
         for key in ("x", "w"):
             if not isinstance(a, dict) or key not in a:
@@ -136,11 +144,12 @@ def measure_from_json(text: str) -> Measure:
         w = _json_number(a["w"], f"/atoms/{i}/w")
         if w <= 0.0:
             raise ValueError(f"measure file: /atoms/{i}/w must be positive, got {w}")
-        atoms.append((x, w))
+        points.append(x)
+        weights.append(w)
     d = doc.get("density")
     if d is not None and not isinstance(d, dict):
         raise ValueError("measure file: /density must be an object or null")
-    return Measure(n, atoms, None if d is None else _density_from_json(d))
+    return Measure(n, points, weights, None if d is None else _density_from_json(d))
 
 
 def _is_number(v) -> bool:
@@ -186,12 +195,12 @@ def _density_from_json(d: dict) -> Density:
 
 
 def measure_of_pseudoball(mu: Measure, ball: ge.PseudoBall, level: int = 32):
-    """Atoms by the Euclidean-ball test, summed atom by atom in list order;
+    """Atoms by the Euclidean-ball test, summed atom by atom in order;
     the density by geometry.pseudoball_integral.  A float, or an (N,) array
     for a ball of N centres."""
     C = np.atleast_2d(ball.euclid_center)
     total = np.zeros(C.shape[0])
-    for x, w in mu.atoms:
+    for x, w in zip(mu.points, mu.weights):
         total += np.where(np.linalg.norm(x - C, axis=1) < ball.euclid_radius, w, 0.0)
     if mu.density is not None:
         total += ge.pseudoball_integral(np.atleast_2d(ball.center_x), ball.delta,
@@ -229,41 +238,15 @@ def berezin2(mu: Measure, Phi: float, alpha: float, x,
     X = np.atleast_2d(x)
     r2 = np.einsum("ij,ij->i", X, X)
     norm = kc.kernel_diag(mu.n, Phi, r2, tol)
-    total = np.zeros(X.shape[0])
-    if mu.atoms:
-        Y = np.array([a for a, _ in mu.atoms])
-        wts = np.array([w for _, w in mu.atoms])
-        kv = kc.kernel_eval_batch(mu.n, Phi, X, Y, tol)
-        oy = 1.0 - np.einsum("ij,ij->i", Y, Y)
-        total += (kv**2) @ (wts * oy ** (Phi - alpha))
+    Y = mu.points
+    kv = kc.kernel_eval_batch(mu.n, Phi, X, Y, tol)
+    total = (kv**2) @ (mu.weights * (1.0 - np.einsum("ij,ij->i", Y, Y)) ** (Phi - alpha))
     if mu.density is not None:
         total += ca._kernel_power_integral_p2(
             mu.n, Phi, np.sqrt(r2),
             lambda K: mu.density.moments(mu.n, Phi - alpha, K, level))
     out = total / norm
     return float(out[0]) if x.ndim == 1 else out
-
-
-def berezin_t(mu: Measure, alpha: float, t_exp: float, x,
-              level: int = 64, tol: float = 1e-10) -> float:
-    """General-power kernel transform.  The normalizer int |R_alpha(x, .)|^t
-    dnu_alpha and the density term depend on |x| only: each is one
-    calculus.kernel_power_integral from level radial nodes."""
-    if alpha <= -1.0:
-        raise ParameterError("alpha > -1", f"alpha = {alpha}")
-    if t_exp <= 1.0:
-        raise ParameterError("t > 1", f"t = {t_exp}")
-    x = np.asarray(x, dtype=np.float64)
-    n = mu.n
-    integral = partial(ca.kernel_power_integral, n, alpha, t_exp, [float(np.linalg.norm(x))],
-                       level=level)
-    total = 0.0 if mu.density is None else integral(lambda m: mu.density.radial_rule(n, 0.0, m))[0]
-    if mu.atoms:
-        Y = np.array([a for a, _ in mu.atoms])
-        wts = np.array([w for _, w in mu.atoms])
-        total += float(np.sum(wts * np.abs(
-            kc.kernel_eval_batch(n, alpha, x, Y, tol)) ** t_exp))
-    return total / integral(lambda m: ca._radial_rule(n, alpha, m))[0]
 
 
 def berezin_type(mu: Measure, alpha: float, s_exp: float, x,
@@ -277,11 +260,7 @@ def berezin_type(mu: Measure, alpha: float, s_exp: float, x,
     n = mu.n
     sigma = alpha + n + s_exp
     r = float(np.linalg.norm(x))
-    total = 0.0
-    if mu.atoms:
-        Y = np.array([a for a, _ in mu.atoms])
-        wts = np.array([w for _, w in mu.atoms])
-        total += float(np.sum(wts * ge.bracket_batch(x, Y) ** (-sigma)))
+    total = float(np.sum(mu.weights * ge.bracket_batch(x, mu.points) ** (-sigma)))
     if mu.density is not None:
         rho, W = mu.density.radial_rule(n, 0.0, level)
         total += float(np.dot(W, ca._bracket_angular_mean(n, sigma, r * rho)))
@@ -291,9 +270,9 @@ def berezin_type(mu: Measure, alpha: float, s_exp: float, x,
 def kappa_from_mu(mu: Measure, s: float, t: float, alpha: float) -> Measure:
     """Reweighted measure: atoms and density multiplied by (1-|y|^2)^(s+t-alpha)."""
     e = s + t - alpha
-    atoms = [(x, w * (1.0 - float(np.dot(x, x))) ** e) for x, w in mu.atoms]
-    d = mu.density
-    return Measure(mu.n, atoms, None if d is None else replace(d, exponent=d.exponent + e))
+    X, d = mu.points, mu.density
+    return Measure(mu.n, X, mu.weights * (1.0 - np.einsum("ij,ij->i", X, X)) ** e,
+                   None if d is None else replace(d, exponent=d.exponent + e))
 
 
 # --------------------------------------------------------------------------
@@ -467,11 +446,7 @@ def embedding_constant_estimate(mu: Measure, p: float, q: float, alpha: float,
         nrm = ca.besov_norm(params, f, rule)
         if nrm == 0.0:
             continue
-        num = 0.0
-        if mu.atoms:
-            Y = np.array([a for a, _ in mu.atoms])
-            wts = np.array([w for _, w in mu.atoms])
-            num += float(np.sum(wts * np.abs(ca.evaluate_batch(f, Y)) ** q))
+        num = float(np.sum(mu.weights * np.abs(ca.evaluate_batch(f, mu.points)) ** q))
         if mu.density is not None:
             rr = np.sqrt(np.einsum("ij,ij->i", rule0.points, rule0.points))
             num += float(np.dot(rule0.weights,

@@ -14,7 +14,7 @@ volume measure maps to the identity).
 import functools
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,8 +110,8 @@ def basis_build(spec: BasisSpec):
         poles, Lp = _poles(spec.n, k)
         W = np.linalg.inv(Lp) / math.sqrt(_norm_sq(spec, k))
         for i in range(len(poles)):
-            atoms = [(float(W[i, j]), poles[j]) for j in range(i + 1)]
-            basis.append(ca.HarmonicPolynomial(spec.n, {k: atoms}))
+            basis.append(ca.HarmonicPolynomial(spec.n, np.full(i + 1, k), W[i, :i + 1],
+                                               poles[:i + 1]))
         degrees.extend([k] * len(poles))
     return basis, degrees
 
@@ -128,10 +128,6 @@ def _measure_fingerprint(mu: me.Measure) -> str:
     return hashlib.sha1(me.measure_to_json(mu).encode()).hexdigest()[:16]
 
 
-def _deriv_basis(spec: BasisSpec, basis):
-    return [ca.dts_apply(spec.s, spec.u, e) for e in basis]
-
-
 def toeplitz_matrix(mu: me.Measure, spec: BasisSpec, level: int = 64) -> OperatorMatrix:
     """Quadratic-form matrix of the operator attached to mu.
 
@@ -143,17 +139,13 @@ def toeplitz_matrix(mu: me.Measure, spec: BasisSpec, level: int = 64) -> Operato
     if mu.n != spec.n:
         raise ValueError("dimension mismatch between measure and basis")
     basis, degrees = basis_build(spec)
-    dbasis = _deriv_basis(spec, basis)
-    m = len(basis)
-    M = np.zeros((m, m))
-    if mu.atoms:
-        Y = np.array([a for a, _ in mu.atoms])
-        wts = np.array([w for _, w in mu.atoms])
-        oy = 1.0 - np.einsum("ij,ij->i", Y, Y)
-        E = np.stack([ca.evaluate_batch(db, Y) for db in dbasis])  # (m, A)
-        M += (E * (wts * oy ** (2.0 * spec.u))[None, :]) @ E.T
+    Y = mu.points
+    oy = 1.0 - np.einsum("ij,ij->i", Y, Y)
+    E = np.stack([ca.evaluate_batch(ca.dts_apply(spec.s, spec.u, e), Y)
+                  for e in basis])  # (m, A)
+    M = (E * (mu.weights * oy ** (2.0 * spec.u))[None, :]) @ E.T
     if mu.density is not None:
-        M += np.diag(radial_oracle(me.Measure(spec.n, [], mu.density), spec, level))
+        M += np.diag(radial_oracle(me.Measure(spec.n, density=mu.density), spec, level))
     M = 0.5 * (M + M.T)
     return OperatorMatrix(spec, M, degrees, _measure_fingerprint(mu))
 
@@ -214,15 +206,12 @@ def _section_operator(mu: me.Measure, spec: BasisSpec, t: float,
     sec = (kc.v_alpha(n, spec.Phi) / kc.v_alpha(n, spec.alpha)
            * (gam_su / gam_s) ** 2 * moments * gam_w)
     deg = np.array(degrees)
-    M = np.zeros((len(basis), len(basis)))
-    if mu.atoms:
-        Y = np.array([x for x, _ in mu.atoms])
-        wts = np.array([w for _, w in mu.atoms])
-        E = np.stack([ca.evaluate_batch(e, Y) for e in basis])  # (m, A)
-        oy = 1.0 - np.einsum("ij,ij->i", Y, Y)
-        A = sec[deg][:, None] * E
-        C = col[deg][:, None] * E * (wts * oy ** exponent)[None, :]
-        M += pref * (A @ C.T)
+    Y = mu.points
+    E = np.stack([ca.evaluate_batch(e, Y) for e in basis])  # (m, A)
+    oy = 1.0 - np.einsum("ij,ij->i", Y, Y)
+    A = sec[deg][:, None] * E
+    C = col[deg][:, None] * E * (mu.weights * oy ** exponent)[None, :]
+    M = pref * (A @ C.T)
     if mu.density is not None:
         M += np.diag(pref * mu.density.moments(n, exponent, kmax, level)[deg]
                      * gam_st[deg])
@@ -287,7 +276,7 @@ def radial_oracle(mu: me.Measure, spec: BasisSpec, level: int = 64) -> np.ndarra
     """
     if spec.Phi <= -1.0:
         raise ParameterError("2s - alpha > -1", f"2s - alpha = {spec.Phi}")
-    if mu.atoms or mu.density is None:
+    if mu.weights.size or mu.density is None:
         raise ValueError("radial oracle requires an atom-free measure with a density")
     n = spec.n
     M = mu.density.moments(n, 2.0 * spec.u, spec.max_degree, level)
@@ -399,19 +388,17 @@ def boundedness_estimate(mu: me.Measure, p1: float, alpha1: float, p2: float,
     params1 = ca.SpaceParams(n, p1, alpha1, 0.0, 0.0)
     # atoms, with the boundary weight folded into their masses
     w_exp = s - alpha1 + t
-    Y = np.array([x for x, _ in mu.atoms]).reshape(-1, n)
-    wts = np.array([w for _, w in mu.atoms])
-    if Y.size:
-        oy = 1.0 - np.einsum("ij,ij->i", Y, Y)
-        wts = wts * oy ** w_exp
+    Y = mu.points
+    wts = mu.weights * (1.0 - np.einsum("ij,ij->i", Y, Y)) ** w_exp
     # the density is degreewise: the image of a degree-k part is that part
     # times pref M_k gamma_k(s), so no quadrature enters here
     dens = None
     if mu.density is not None:
         dens = (pref * mu.density.moments(n, w_exp, max_degree, level)
                 * kc.gamma_coeffs(n, s, max_degree))
-    Ksec = (np.stack([kc.kernel_eval_batch(n, s, y, rule2.points, 1e-9)
-                      for y in Y]) if Y.size else None)
+    # kernel sections R_s(., y) at rule2's nodes, one truncation per atom
+    Ksec = np.array([kc.kernel_eval_batch(n, s, y, rule2.points, 1e-9)
+                     for y in Y]).reshape(len(Y), len(rule2.points))
     best = 0.0
     for i in range(trials):
         f = ca.random_polynomial(n, max_degree, seed + i)
@@ -419,9 +406,7 @@ def boundedness_estimate(mu: me.Measure, p1: float, alpha1: float, p2: float,
         if nrm1 == 0.0:
             continue
         df = ca.dts_apply(s, t, f)
-        Tf = np.zeros(rule2.points.shape[0])
-        if Ksec is not None:
-            Tf += pref * ((wts * ca.evaluate_batch(df, Y)) @ Ksec)
+        Tf = pref * ((wts * ca.evaluate_batch(df, Y)) @ Ksec)
         if dens is not None:
             Tf += ca.evaluate_batch(df.scaled(dens), rule2.points)
         nrm2 = (float(np.dot(rule2.weights, np.abs(Tf) ** p2))) ** (1.0 / p2)

@@ -76,7 +76,8 @@ def suite_kernels():
             spread = max(spread, max(logs) - min(logs))
     checks.append(_check("stirling-consistency", "Eq. (2.1)",
                          worst < 1e-8 and spread < 2.0,
-                         worst, [0.0, spread]))
+                         {"rel_error": worst, "log_spread": spread},
+                         {"rel_error": [0.0, 1e-8], "log_spread": [0.0, 2.0]}))
 
     ok = True
     for n in (2, 3):
@@ -236,7 +237,8 @@ def suite_calculus():
                       / ca.besov_norm(params, f, rule))
     lo, hi = min(ratios), max(ratios)
     checks.append(_check("lemma-2.8-isomorphism", "Lemma 2.8",
-                         lo > 0 and hi / lo < 100.0, hi / lo, [lo, hi]))
+                         lo > 0 and hi / lo < 100.0,
+                         {"ratio": hi / lo, "lo": lo, "hi": hi}, [1.0, 100.0]))
 
     worst = 0.0
     ok = True
@@ -245,7 +247,7 @@ def suite_calculus():
         q = ca.inner_product_u_closed(alpha, 1.0, 0.5, f, f)
         ok &= q > 0.0
         worst = min(worst, q)
-    zero = ca.HarmonicPolynomial(n, {})
+    zero = ca.HarmonicPolynomial(n)
     ok &= ca.inner_product_u_closed(alpha, 1.0, 0.5, zero, zero) == 0.0
     checks.append(_check("inner-product-psd", "Eq. (6.2)", ok, worst))
     return checks
@@ -256,16 +258,14 @@ def suite_calculus():
 
 def _sample_measures(n=2):
     rng = np.random.default_rng(404)
-    atoms1 = [(x, float(w)) for x, w in
-              zip(_sample_ball(rng, n, 4, 0.5), rng.uniform(0.3, 1.0, 4))]
-    atoms2 = [(x, float(w)) for x, w in
-              zip(_sample_ball(rng, n, 6, 0.7), rng.uniform(0.1, 0.8, 6))]
+    inner = _sample_ball(rng, n, 4, 0.5), rng.uniform(0.3, 1.0, 4)
+    wide = _sample_ball(rng, n, 6, 0.7), rng.uniform(0.1, 0.8, 6)
     return {
-        "atoms-inner": me.Measure(n, atoms1, None),
-        "atoms-wide": me.Measure(n, atoms2, None),
+        "atoms-inner": me.Measure(n, *inner),
+        "atoms-wide": me.Measure(n, *wide),
         "volume": me.nu_alpha_measure(n, 0.5),
-        "decaying": me.Measure(n, [], me.Density("power-weight", 3.0, 0.8)),
-        "mixed": me.Measure(n, atoms1[:2],
+        "decaying": me.Measure(n, density=me.Density("power-weight", 3.0, 0.8)),
+        "mixed": me.Measure(n, inner[0][:2], inner[1][:2],
                             me.Density("power-weight", 2.5, 0.4)),
     }
 
@@ -331,7 +331,8 @@ def suite_carleson():
     ball = ge.pseudoball(np.array([0.2, 0.1]), 0.6)
     v1 = me.measure_of_pseudoball(mu1, ball)
     v2 = me.measure_of_pseudoball(mu2, ball)
-    msum = me.Measure(2, mu1.atoms + mu2.atoms, None)
+    msum = me.Measure(2, np.concatenate([mu1.points, mu2.points]),
+                      np.concatenate([mu1.weights, mu2.weights]))
     vsum = me.measure_of_pseudoball(msum, ball)
     vscaled = me.measure_of_pseudoball(mu1.scaled(2.0), ball)
     ok = vsum == v1 + v2 and vscaled == 2.0 * v1
@@ -387,8 +388,9 @@ def suite_toeplitz():
         ok &= ev.min() >= -1e-10 * max(abs(ev).max(), 1e-300)
     checks.append(_check("psd", "Eq. (6.5)", ok, mins))
 
-    mu = measures["atoms-inner"]
-    bigger = me.Measure(2, mu.atoms + measures["atoms-wide"].atoms, None)
+    mu, wide = measures["atoms-inner"], measures["atoms-wide"]
+    bigger = me.Measure(2, np.concatenate([mu.points, wide.points]),
+                        np.concatenate([mu.weights, wide.weights]))
     D = (tp.toeplitz_matrix(bigger, spec).entries
          - tp.toeplitz_matrix(mu, spec).entries)
     ev = np.linalg.eigvalsh(D)
@@ -396,13 +398,13 @@ def suite_toeplitz():
     checks.append(_check("monotonicity", "Section 6", ok, float(ev.min())))
 
     # Lemma 6.4: C_delta * T(hat-mu density) dominates T(mu) for radial mu
-    mur = me.Measure(2, [], me.Density("power-weight", alpha + 1.0, 0.9))
+    mur = me.Measure(2, density=me.Density("power-weight", alpha + 1.0, 0.9))
     grid = np.linspace(0.0, 0.97, 40)
     hat_vals = me.averaging(mur, alpha, 0.5, np.outer(grid, [1.0, 0.0]), level=24)
     hat_density = me.Density("tabulated-radial", 0.0, 1.0, grid,
                              hat_vals * (1.0 - grid**2) ** alpha
                              / kc.v_alpha(2, alpha))
-    Mhat = tp.toeplitz_matrix(me.Measure(2, [], hat_density), spec, 48).entries
+    Mhat = tp.toeplitz_matrix(me.Measure(2, density=hat_density), spec, 48).entries
     Mmu = tp.toeplitz_matrix(mur, spec, 48).entries
     # generalized eigenvalues of (Mmu, Mhat): those of L^-1 Mmu L^-T, Mhat = L L^T
     L = np.linalg.cholesky(Mhat)
@@ -417,8 +419,8 @@ def suite_toeplitz():
     # Lemma 6.3: rapidly vanishing symbol -> S_p ladder converges, consistent
     # with the L^p_{-n} statistic of the symbol itself
     mphi = 6.0
-    mu_phi = me.Measure(2, [], me.Density("power-weight", alpha + mphi,
-                                          1.0 / kc.v_alpha(2, alpha)))
+    mu_phi = me.Measure(2, density=me.Density("power-weight", alpha + mphi,
+                                              1.0 / kc.v_alpha(2, alpha)))
     lat = _shared_lattice()
     sd = tp.schatten_diagnostic(mu_phi, tp.BasisSpec(2, alpha, s, 10),
                                 1.0, lat, level=48)

@@ -16,7 +16,7 @@ from bbesov.errors import ParameterError
 def constant_poly(n: int, value: float = 1.0) -> HarmonicPolynomial:
     pole = np.zeros(n)
     pole[0] = 1.0
-    return HarmonicPolynomial(n, {0: [(value, pole)]})
+    return HarmonicPolynomial(n, [0], [value], [pole])
 
 
 def inner_product_u(alpha: float, s: float, u: float,

@@ -79,9 +79,8 @@ def test_02_operator_inversion_roundtrip():
             s = rng.uniform(-2.5, 2.5)
             t = rng.uniform(-1.5, 1.5)
             g = ca.dts_apply(s + t, -t, ca.dts_apply(s, t, f))
-            for k, atoms in f.parts.items():
-                for (c1, _), (c2, _) in zip(atoms, g.parts[k]):
-                    assert abs(c2 - c1) <= 1e-14 * abs(c1)
+            for c1, c2 in zip(f.coefs, g.coefs):
+                assert abs(c2 - c1) <= 1e-14 * abs(c1)
 
 
 # ---------------------------------------------------------------- criterion 3
@@ -262,7 +261,7 @@ def test_10_rank_one_spectral_oracle():
     spec = tp.BasisSpec(2, 0.5, 1.0, 12)
     x0 = np.array([0.3, -0.4])     # |x0| = 0.5
     w0 = 0.8
-    M = tp.toeplitz_matrix(me.Measure(2, [(x0, w0)], None), spec)
+    M = tp.toeplitz_matrix(me.Measure(2, [x0], [w0]), spec)
     rep = tp.spectrum(M)
     expect = (w0 * (1.0 - float(x0 @ x0)) ** (2 * spec.u)
               * kc.v_alpha(2, spec.alpha) / kc.v_alpha(2, spec.Phi)
@@ -277,7 +276,7 @@ def test_10_rank_one_spectral_oracle():
 def test_11_intertwining():
     rng = np.random.default_rng(104)
     pts = _ball_points(rng, 5, 2, 0.7)
-    mu = me.Measure(2, list(zip(pts, rng.uniform(0.3, 1.0, 5))), None)
+    mu = me.Measure(2, pts, rng.uniform(0.3, 1.0, 5))
     for s, t in ((1.0, 0.5), (0.75, 1.25)):
         spec = tp.BasisSpec(2, 0.5, s, 8)
         rep = tp.intertwine_check(mu, spec, t)
@@ -289,7 +288,7 @@ def test_11_intertwining():
 
 def test_12_radial_oracle():
     spec = tp.BasisSpec(2, 0.5, 1.25, 8)
-    mu = me.Measure(2, [], me.Density("power-weight", 0.5 + 1.0, 0.7))
+    mu = me.Measure(2, density=me.Density("power-weight", 0.5 + 1.0, 0.7))
     M = tp.toeplitz_matrix(mu, spec, level=96).entries
     off = M - np.diag(np.diag(M))
     assert np.max(np.abs(off)) <= 1e-9
@@ -305,10 +304,9 @@ def test_13_schatten_consistency():
     spec = tp.BasisSpec(2, 0.5, 1.0, 8)
     rng = np.random.default_rng(105)
     compact = [
-        me.Measure(2, [(np.array([0.2, 0.1]), 1.0)], None),
-        me.Measure(2, list(zip(_ball_points(rng, 4, 2, 0.4),
-                               rng.uniform(0.3, 1.0, 4))), None),
-        me.Measure(2, [], me.Density(
+        me.Measure(2, [np.array([0.2, 0.1])], [1.0]),
+        me.Measure(2, _ball_points(rng, 4, 2, 0.4), rng.uniform(0.3, 1.0, 4)),
+        me.Measure(2, density=me.Density(
             "tabulated-radial", 0.0, 1.0,
             np.array([0.0, 0.45, 0.5, 1.0]),
             np.array([1.0, 1.0, 0.0, 0.0]))),
@@ -330,8 +328,7 @@ def test_14_trace_bracket():
     C = 10.0
     for i in range(5):
         m = 2 + i
-        mu = me.Measure(2, list(zip(_ball_points(rng, m, 2, 0.8),
-                                    rng.uniform(0.3, 1.5, m))), None)
+        mu = me.Measure(2, _ball_points(rng, m, 2, 0.8), rng.uniform(0.3, 1.5, m))
         rep = tp.trace_vs_berezin(mu, spec, lat)
         assert 1.0 / C <= rep.ratio <= C
 

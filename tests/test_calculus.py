@@ -16,7 +16,7 @@ def test_evaluate_constant_and_degree_one():
     f = constant_poly(2, 3.5)
     assert ca.evaluate(f, np.array([0.2, -0.1])) == pytest.approx(3.5)
     pole = np.array([1.0, 0.0])
-    g = ca.HarmonicPolynomial(2, {1: [(2.0, pole)]})
+    g = ca.HarmonicPolynomial(2, [1], [2.0], [pole])
     # Z_1(x, e1) = 2 x_1 for n=2
     assert ca.evaluate(g, np.array([0.3, 0.4])) == pytest.approx(2 * 2 * 0.3)
 
@@ -25,9 +25,9 @@ def test_evaluate_constant_and_degree_one():
 def test_degree_values_match_per_atom_zonal(n):
     rng = np.random.default_rng(40 + n)
     f = ca.random_polynomial(n, 7, 40 + n)
-    del f.parts[3]  # a degree with no atoms gives a zero row
-    atoms = sum(len(a) for a in f.parts.values())
-    step = 32768 // atoms  # rows per block
+    keep = f.degrees != 3  # a degree with no atoms gives a zero row
+    f = ca.HarmonicPolynomial(n, f.degrees[keep], f.coefs[keep], f.poles[keep])
+    step = 32768 // f.degrees.size  # rows per block
     X = rng.uniform(-0.55, 0.55, (step + 7, n))
     F = ca.degree_values(f, X)
     assert F.shape == (8, X.shape[0])
@@ -35,24 +35,55 @@ def test_degree_values_match_per_atom_zonal(n):
     # per atom, the old one-series-per-atom path on every row ...
     nx2 = np.einsum("ij,ij->i", X, X)
     want = np.zeros_like(F)
-    for k, part in f.parts.items():
+    for k, c, eta in zip(f.degrees, f.coefs, f.poles):
         onehot = np.eye(k + 1)[k]
-        for c, eta in part:
-            want[k] += c * kc.zonal_series(onehot, (n - 2) / 2.0, X @ eta, nx2)
+        want[k] += c * kc.zonal_series(onehot, (n - 2) / 2.0, X @ eta, nx2)
     scale = np.abs(want).max()
     np.testing.assert_allclose(F, want, rtol=1e-12, atol=1e-13 * scale)
     # ... and scalar kc.zonal on rows at both ends of each block
     for i in (0, 1, step - 1, step, step + 1, X.shape[0] - 1):
-        for k, part in f.parts.items():
-            got = sum(c * kc.zonal(n, k, X[i], eta) for c, eta in part)
+        for k in np.unique(f.degrees):
+            part = f.degrees == k
+            got = sum(c * kc.zonal(n, k, X[i], eta)
+                      for c, eta in zip(f.coefs[part], f.poles[part]))
             assert F[k, i] == pytest.approx(got, rel=1e-12, abs=1e-13 * scale)
     assert np.array_equal(ca.evaluate_batch(f, X), F.sum(axis=0))
 
 
 def test_degree_values_of_empty_polynomial():
     X = np.full((5, 3), 0.1)
-    assert np.array_equal(ca.degree_values(ca.HarmonicPolynomial(3, {}), X), np.zeros((1, 5)))
-    assert np.array_equal(ca.evaluate_batch(ca.HarmonicPolynomial(3, {2: []}), X), np.zeros(5))
+    assert np.array_equal(ca.degree_values(ca.HarmonicPolynomial(3), X), np.zeros((1, 5)))
+    empty = ca.HarmonicPolynomial(3, np.zeros(0, int), [], np.zeros((0, 3)))
+    assert np.array_equal(ca.evaluate_batch(empty, X), np.zeros(5))
+
+
+def test_harmonic_polynomial_checks_its_arrays():
+    f = ca.HarmonicPolynomial(2, [0, 2], [1.5, -1.0], [[1.0, 0.0], [0.6, 0.8]])
+    assert f.degrees.dtype == np.int64 and f.poles.shape == (2, 2)
+    assert f.max_degree() == 2 and ca.HarmonicPolynomial(2).max_degree() == 0
+    with pytest.raises(ValueError):
+        f.coefs[0] = 2.0  # read-only
+    bad = [
+        ([0, 1], [1.0], [[1.0, 0.0], [0.0, 1.0]]),         # one coefficient for two poles
+        ([0], [1.0, 2.0], [[1.0, 0.0]]),                   # two coefficients for one pole
+        ([0, 1], [1.0, 2.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),  # poles in R^3
+        ([1], [1.0], [[1.0, 0.0, 0.0]]),                   # pole in R^3, odd size
+        ([-1], [1.0], [[1.0, 0.0]]),                       # negative degree
+    ]
+    for deg, coef, poles in bad:
+        with pytest.raises(ValueError):
+            ca.HarmonicPolynomial(2, deg, coef, poles)
+
+
+def test_random_polynomial_draw_order():
+    # one atom of degree 0, two of each higher degree; per atom the pole is
+    # drawn before the coefficient, so a seed gives the same bits as before
+    f = ca.random_polynomial(3, 4, 7)
+    assert f.degrees.tolist() == [0, 1, 1, 2, 2, 3, 3, 4, 4]
+    rng = np.random.default_rng(7)
+    for c, eta in zip(f.coefs, f.poles):
+        pole = rng.normal(size=3)
+        assert np.array_equal(eta, pole / np.linalg.norm(pole)) and c == rng.normal()
 
 
 def test_harmonicity_mean_value():
@@ -71,16 +102,14 @@ def test_dts_identity_and_inverse_roundtrip():
     for n in (2, 3):
         f = ca.random_polynomial(n, 20, 7)
         g = ca.dts_apply(1.0, 0.0, f)
-        for k, atoms in f.parts.items():
-            for (c1, _), (c2, _) in zip(atoms, g.parts[k]):
-                assert c2 == pytest.approx(c1, rel=1e-15)
+        for c1, c2 in zip(f.coefs, g.coefs):
+            assert c2 == pytest.approx(c1, rel=1e-15)
         for i in range(20):
             s = rng.uniform(-2.0, 2.0)
             t = rng.uniform(-2.0, 2.0)
             h = ca.dts_apply(s + t, -t, ca.dts_apply(s, t, f))
-            for k, atoms in f.parts.items():
-                for (c1, _), (c2, _) in zip(atoms, h.parts[k]):
-                    assert abs(c2 - c1) <= 1e-14 * abs(c1)
+            for c1, c2 in zip(f.coefs, h.coefs):
+                assert abs(c2 - c1) <= 1e-14 * abs(c1)
 
 
 def test_space_param_flags():
@@ -184,8 +213,8 @@ def test_inner_product_closed_vs_quadrature():
 
 def test_inner_product_degree_orthogonality():
     pole = np.array([1.0, 0.0])
-    f = ca.HarmonicPolynomial(2, {2: [(1.0, pole)]})
-    g = ca.HarmonicPolynomial(2, {3: [(1.0, pole)]})
+    f = ca.HarmonicPolynomial(2, [2], [1.0], [pole])
+    g = ca.HarmonicPolynomial(2, [3], [1.0], [pole])
     assert ca.inner_product_u_closed(0.0, 1.0, 1.0, f, g) == 0.0
 
 
@@ -370,10 +399,10 @@ def test_dts_scaling_property(s, t, k):
     # D^t_s on a degree-k atom multiplies by gamma_k(s+t)/gamma_k(s)
     n = 2
     pole = np.array([1.0, 0.0])
-    f = ca.HarmonicPolynomial(n, {k: [(1.0, pole)]})
+    f = ca.HarmonicPolynomial(n, [k], [1.0], [pole])
     g = ca.dts_apply(s, t, f)
     expect = kc.gamma_k(n, s + t, k) / kc.gamma_k(n, s, k)
-    assert g.parts[k][0][0] == pytest.approx(expect, rel=1e-12)
+    assert g.coefs[0] == pytest.approx(expect, rel=1e-12)
 
 
 # --------------------------------------------------------------------------

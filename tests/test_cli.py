@@ -159,7 +159,7 @@ def test_dimension_mismatch_exit2(capsys, tmp_path):
 
 def test_intertwine_dimension_mismatch_exit2(capsys, tmp_path):
     # the atom's coordinates must not reach a matmul against a 3-d basis
-    path = write_measure(tmp_path, me.Measure(2, [(np.array([0.4, -0.1]), 1.0)], None))
+    path = write_measure(tmp_path, me.Measure(2, [np.array([0.4, -0.1])], [1.0]))
     code, out, err = run(capsys, ["toeplitz", "intertwine", "--file", path, "--n", "3",
                                   "--K", "2", "--t", "0.5"])
     assert (code, out) == (2, "")
@@ -180,7 +180,7 @@ def test_measure_averaging_volume_is_one(capsys, tmp_path):
 
 
 def test_measure_averaging_n4(capsys, tmp_path):
-    mu = me.Measure(4, [(np.array([0.1, 0.0, 0.2, -0.1]), 0.5)],
+    mu = me.Measure(4, [np.array([0.1, 0.0, 0.2, -0.1])], [0.5],
                     me.Density("power-weight", 0.5, 1.0))
     path = write_measure(tmp_path, mu)
     code, out, _ = run(capsys, ["measure", "averaging", "--file", path,
@@ -194,7 +194,7 @@ def test_measure_averaging_n4(capsys, tmp_path):
 
 
 def test_measure_berezin_atom_at_origin(capsys, tmp_path):
-    mu = me.Measure(2, [(np.zeros(2), 0.8)], None)
+    mu = me.Measure(2, [np.zeros(2)], [0.8])
     path = write_measure(tmp_path, mu)
     code, out, _ = run(capsys, ["measure", "berezin", "--file", path,
                                 "--Phi", "1.0", "--alpha", "0.0",
@@ -215,7 +215,7 @@ def test_measure_carleson_volume_finite(capsys, tmp_path):
 
 
 def test_measure_vanishing_profile(capsys, tmp_path):
-    mu = me.Measure(2, [], me.Density("power-weight", 4.0, 1.0))
+    mu = me.Measure(2, density=me.Density("power-weight", 4.0, 1.0))
     path = write_measure(tmp_path, mu)
     code, out, _ = run(capsys, ["measure", "vanishing", "--file", path,
                                 "--lambda", "1.0", "--alpha", "0.0",
@@ -267,7 +267,7 @@ def test_toeplitz_matrix_identity(capsys, tmp_path):
 
 def test_toeplitz_spectrum_rank_one(capsys, tmp_path):
     x0 = np.array([0.3, 0.2])
-    path = write_measure(tmp_path, me.Measure(2, [(x0, 1.0)], None))
+    path = write_measure(tmp_path, me.Measure(2, [x0], [1.0]))
     code, out, _ = run(capsys, ["toeplitz", "spectrum", "--file", path,
                                 "--alpha", "0.0", "--s", "1.0", "--K", "8",
                                 "--p-list", "1,2,4"])
@@ -282,7 +282,7 @@ def test_toeplitz_spectrum_rank_one(capsys, tmp_path):
 
 def test_toeplitz_intertwine_residual(capsys, tmp_path):
     path = write_measure(tmp_path,
-                         me.Measure(2, [(np.array([0.4, -0.1]), 1.0)], None))
+                         me.Measure(2, [np.array([0.4, -0.1])], [1.0]))
     code, out, _ = run(capsys, ["toeplitz", "intertwine", "--file", path,
                                 "--alpha", "0.5", "--s", "1.0", "--K", "6",
                                 "--t", "0.5"])

@@ -21,14 +21,42 @@ def atoms_measure(n=2, seed=30, count=4, rmax=0.5):
     pts *= (rmax * rng.uniform(0.2, 1.0, count)
             / np.linalg.norm(pts, axis=1))[:, None]
     w = rng.uniform(0.2, 1.0, count)
-    return me.Measure(n, list(zip(pts, w)), None)
+    return me.Measure(n, pts, w)
 
 
 def test_measure_validation():
     with pytest.raises(ValueError):
-        me.Measure(2, [(np.array([1.1, 0.0]), 1.0)], None)
+        me.Measure(2, [np.array([1.1, 0.0])], [1.0])
     with pytest.raises(ValueError):
-        me.Measure(2, [(np.array([0.1, 0.0]), -1.0)], None)
+        me.Measure(2, [np.array([0.1, 0.0])], [-1.0])
+
+
+@pytest.mark.parametrize("points,weights", [
+    ([[0.1, 0.2, 0.3]], [1.0]),                        # a point in R^3
+    ([[0.1, 0.2, 0.3], [0.0, 0.1, 0.2]], [1.0, 1.0]),  # (2, 3): three rows of 2
+    ([[0.1, 0.2]], [1.0, 2.0]),                        # two weights, one point
+    ([[0.1, 0.2], [0.0, 0.1]], [1.0]),                 # one weight, two points
+    ([[0.1, 0.2]], [[1.0]]),                           # weights of shape (1, 1)
+    ([[0.1, 0.2]], [0.0]),
+    ([[0.1, 0.2]], [np.nan]),
+    ([[np.nan, 0.0]], [1.0]),
+    ([[0.6, 0.8]], [1.0]),                             # |x| = 1
+])
+def test_measure_refuses_bad_atoms(points, weights):
+    with pytest.raises(ValueError):
+        me.Measure(2, points, weights)
+
+
+def test_measure_holds_read_only_arrays():
+    pts = np.array([[0.1, 0.2], [-0.3, 0.0]])
+    mu = me.Measure(2, pts, [1.0, 2.0])
+    pts[0, 0] = 0.5  # a copy: the caller's array does not reach the measure
+    assert mu.points.dtype == mu.weights.dtype == np.float64
+    assert mu.points[0, 0] == 0.1 and mu.weights.shape == (2,)
+    with pytest.raises(ValueError):
+        mu.weights[0] = 3.0
+    empty = me.Measure(3)
+    assert empty.points.shape == (0, 3) and empty.weights.shape == (0,)
 
 
 def test_measure_json_roundtrip():
@@ -36,8 +64,8 @@ def test_measure_json_roundtrip():
     mu.density = me.Density("power-weight", 1.5, 0.3)
     rt = me.measure_from_json(me.measure_to_json(mu))
     assert rt.n == mu.n
-    assert len(rt.atoms) == len(mu.atoms)
-    for (x1, w1), (x2, w2) in zip(mu.atoms, rt.atoms):
+    assert len(rt.weights) == len(mu.weights)
+    for x1, w1, x2, w2 in zip(mu.points, mu.weights, rt.points, rt.weights):
         assert np.array_equal(x1, x2) and w1 == w2
     assert rt.density.exponent == 1.5 and rt.density.scale == 0.3
     mu.density = me.Density("tabulated-radial", 0.75, 0.3,
@@ -108,8 +136,7 @@ def test_measure_json_schema_errors():
 
 
 def test_measure_of_pseudoball_atoms():
-    mu = me.Measure(2, [(np.array([0.0, 0.0]), 2.0),
-                        (np.array([0.6, 0.0]), 1.0)], None)
+    mu = me.Measure(2, [[0.0, 0.0], [0.6, 0.0]], [2.0, 1.0])
     ball = ge.pseudoball(np.zeros(2), 0.3)
     assert me.measure_of_pseudoball(mu, ball) == 2.0
     big = ge.pseudoball(np.zeros(2), 0.7)
@@ -125,7 +152,7 @@ def test_tabulated_density_ball_mass_matches_product_rule():
     dens = me.Density("tabulated-radial", 0.5, 1.0, np.array([0.0, 0.3, 0.6, 0.8, 1.0]),
                       np.array([1.0, 2.0, 0.5, 1.5, 1.0]))
     X = np.array([[0.0, 0.0], [0.35, 0.0], [0.7 * np.cos(1.0), 0.7 * np.sin(1.0)], [0.95, 0.0]])
-    got = me.measure_of_pseudoball(me.Measure(2, [], dens), ge.pseudoball(X, 0.5), 128)
+    got = me.measure_of_pseudoball(me.Measure(2, density=dens), ge.pseudoball(X, 0.5), 128)
     t, wt = roots_legendre(256)
     dirs, wd = ca.sphere_rule(2, 256)
     for x, g in zip(X, got):
@@ -145,7 +172,7 @@ def test_ball_statistics_array_equals_scalars():
         got = ge.weighted_ball_volume(1.5, ge.pseudoball(X, 0.6), 48)
         assert np.array_equal(got, [ge.weighted_ball_volume(1.5, ge.pseudoball(x, 0.6), 48)
                                     for x in X])
-        mu = me.Measure(n, [(0.5 * X[0], 1.0), (0.3 * X[1], 0.5)],
+        mu = me.Measure(n, [0.5 * X[0], 0.3 * X[1]], [1.0, 0.5],
                         me.Density("tabulated-radial", 0.5, 2.0, np.linspace(0.0, 1.0, 5),
                                    np.arange(5.0) + 1.0))
         got = me.measure_of_pseudoball(mu, ge.pseudoball(X, 0.5), 24)
@@ -176,7 +203,7 @@ def test_berezin2_volume_oracle():
 
 
 def test_berezin2_atom_at_origin():
-    mu = me.Measure(2, [(np.zeros(2), 0.37)], None)
+    mu = me.Measure(2, [np.zeros(2)], [0.37])
     assert me.berezin2(mu, 2.0, 0.0, np.zeros(2)) == pytest.approx(0.37)
 
 
@@ -201,7 +228,7 @@ def test_berezin2_array_matches_per_point(n):
     rng = np.random.default_rng(33)
     X = rng.uniform(-0.6, 0.6, (9, n))
     X[0] = 0.0
-    atoms = atoms_measure(n, seed=34).atoms
+    atoms = atoms_measure(n, seed=34)
     densities = {
         "atoms": None,
         "power-weight": me.Density("power-weight", 0.5, 0.7),
@@ -210,7 +237,8 @@ def test_berezin2_array_matches_per_point(n):
                                 np.linspace(1.0, 2.0, 11)),
     }
     for name, d in densities.items():
-        mu = me.Measure(n, atoms if d is None else atoms[:2], d)
+        k = None if d is None else 2
+        mu = me.Measure(n, atoms.points[:k], atoms.weights[:k], d)
         level = 16 if name == "tabulated" else 64
         got = me.berezin2(mu, 1.5, 0.5, X, level=level)
         assert got.shape == (X.shape[0],)
@@ -219,51 +247,16 @@ def test_berezin2_array_matches_per_point(n):
 
 
 def test_berezin2_weight_flag():
-    mu = me.Measure(2, [], me.Density("power-weight", -1.5, 1.0))
+    mu = me.Measure(2, density=me.Density("power-weight", -1.5, 1.0))
     with pytest.raises(ParameterError):
         me.berezin2(mu, 0.0, 1.0, np.zeros(2))
-
-
-def test_berezin_t_flag_and_atom():
-    mu = me.Measure(2, [(np.zeros(2), 1.0)], None)
-    with pytest.raises(ParameterError, match="t > 1"):
-        me.berezin_t(mu, 0.0, 0.5, np.zeros(2))
-    # atom at origin, x = 0: numerator w*1, normalizer nu_alpha(1) = 1
-    assert me.berezin_t(mu, 0.0, 2.0, np.zeros(2)) == pytest.approx(1.0,
-                                                                    rel=1e-9)
-
-
-def test_berezin_t_of_nu_alpha_is_one():
-    # the density term of nu_alpha is the normalizer itself, at every |x|
-    for n in (2, 3):
-        mu = me.nu_alpha_measure(n, 0.5)
-        for r in (0.0, 0.6, 0.95):
-            x = np.zeros(n)
-            x[-1] = r
-            assert me.berezin_t(mu, 0.5, 3.0, x) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_berezin_t_matches_product_rule():
-    # reference: the n-D product rule berezin_t used before, which resolves
-    # the kernel away from the rim
-    mu = me.Measure(2, [(np.array([0.3, 0.1]), 0.7)], me.Density("power-weight", 1.0, 2.0))
-    x = np.array([0.2, -0.4])
-    alpha, t = 0.5, 3.0
-    rule = ca.quadrature_build(2, alpha, 64)
-    norm = rule.weights @ np.abs(kc.kernel_eval_batch(2, alpha, x, rule.points, 1e-12)) ** t
-    rule0 = ca.quadrature_build(2, 0.0, 64)
-    rr = np.linalg.norm(rule0.points, axis=1)
-    dens = rule0.weights @ (np.abs(kc.kernel_eval_batch(2, alpha, x, rule0.points, 1e-12)) ** t
-                            * mu.density.radial(rr))
-    atom = 0.7 * abs(kc.kernel_eval(2, alpha, x, mu.atoms[0][0]).value) ** t
-    assert me.berezin_t(mu, alpha, t, x) == pytest.approx((atom + dens) / norm, rel=1e-9)
 
 
 def test_berezin_type_atom_identity():
     # single atom: value = w (1-|x|^2)^s / [x, y0]^(alpha+n+s)
     w0 = 2.0
     y0 = np.zeros(2)
-    mu = me.Measure(2, [(y0, w0)], None)
+    mu = me.Measure(2, [y0], [w0])
     for r in (0.0, 0.54, 0.8):
         x = np.array([0.0, r])
         got = me.berezin_type(mu, 0.5, 1.5, x)
@@ -285,7 +278,7 @@ def test_berezin_type_n3_power_weight_positive():
     # n = 3 power-weight density through the closed angular mean, against a
     # product rule for the same integral; the integrand is positive
     c, alpha, s_exp = 0.5, 0.25, 1.0
-    mu = me.Measure(3, [], me.Density("power-weight", c, 1.0))
+    mu = me.Measure(3, density=me.Density("power-weight", c, 1.0))
     rule = ca.quadrature_build(3, c, 64)
     for x in (np.array([0.3, -0.2, 0.1]), np.array([0.0, 0.5, 0.4])):
         got = me.berezin_type(mu, alpha, s_exp, x)
@@ -301,7 +294,7 @@ def test_kappa_from_mu_bookkeeping():
     mu.density = me.Density("power-weight", 1.0, 0.5)
     kap = me.kappa_from_mu(mu, 1.0, 0.5, 0.25)
     e = 1.0 + 0.5 - 0.25
-    for (x, w), (xk, wk) in zip(mu.atoms, kap.atoms):
+    for x, w, xk, wk in zip(mu.points, mu.weights, kap.points, kap.weights):
         assert wk == pytest.approx(w * (1 - float(x @ x)) ** e, rel=1e-14)
     assert kap.density.exponent == pytest.approx(1.0 + e)
 
@@ -338,7 +331,7 @@ def test_carleson_report_json(lat2):
 
 
 def test_vanishing_profile_classifications(lat2):
-    decaying = me.Measure(2, [], me.Density("power-weight", 4.0, 1.0))
+    decaying = me.Measure(2, density=me.Density("power-weight", 4.0, 1.0))
     prof = me.vanishing_profile(decaying, 1.0, 0.0, lat2)
     assert prof.vanishing
     flat = me.nu_alpha_measure(2, 0.0)

@@ -58,7 +58,7 @@ def test_identity_anchor_n3():
 
 
 def test_matrix_symmetry_and_fingerprint():
-    mu = me.Measure(2, [(np.array([0.3, 0.1]), 1.0)],
+    mu = me.Measure(2, [np.array([0.3, 0.1])], [1.0],
                     me.Density("power-weight", 2.0, 0.5))
     sp = spec2()
     M = tp.toeplitz_matrix(mu, sp)
@@ -69,7 +69,7 @@ def test_matrix_symmetry_and_fingerprint():
 
 
 def test_scaling_linearity():
-    mu = me.Measure(2, [(np.array([0.4, -0.2]), 0.7)], None)
+    mu = me.Measure(2, [np.array([0.4, -0.2])], [0.7])
     sp = spec2()
     M1 = tp.toeplitz_matrix(mu, sp).entries
     M3 = tp.toeplitz_matrix(mu.scaled(3.0), sp).entries
@@ -81,7 +81,7 @@ def test_rank_one_atom_structure():
     sp = tp.BasisSpec(2, 0.0, 1.0, 12)
     x0 = np.array([0.35, 0.2])
     w0 = 1.3
-    mu = me.Measure(2, [(x0, w0)], None)
+    mu = me.Measure(2, [x0], [w0])
     M = tp.toeplitz_matrix(mu, sp)
     rep = tp.spectrum(M)
     q = float(x0 @ x0)
@@ -95,7 +95,7 @@ def test_rank_one_atom_structure():
 def test_atom_at_origin_single_entry():
     # delta at 0: only the constant basis element sees it
     sp = spec2(alpha=0.5, s=1.5, K=5)
-    mu = me.Measure(2, [(np.zeros(2), 2.0)], None)
+    mu = me.Measure(2, [np.zeros(2)], [2.0])
     M = tp.toeplitz_matrix(mu, sp).entries
     expect00 = 2.0 * kc.v_alpha(2, sp.alpha) / kc.v_alpha(2, sp.Phi)
     assert M[0, 0] == pytest.approx(expect00, rel=1e-12)
@@ -129,7 +129,7 @@ def test_spectrum_positivity_violation():
 
 def test_radial_oracle_matches_matrix():
     sp = spec2(alpha=0.5, s=1.25, K=6)
-    mu = me.Measure(2, [], me.Density("power-weight", 2.0, 0.8))
+    mu = me.Measure(2, density=me.Density("power-weight", 2.0, 0.8))
     M = tp.toeplitz_matrix(mu, sp, level=96).entries
     D = tp.radial_oracle(mu, sp)
     off = M - np.diag(np.diag(M))
@@ -155,7 +155,7 @@ def test_intertwine_atoms_tiny_residual():
     rng = np.random.default_rng(40)
     pts = rng.normal(size=(5, 2))
     pts *= (0.6 * rng.uniform(0.3, 1.0, 5) / np.linalg.norm(pts, axis=1))[:, None]
-    mu = me.Measure(2, list(zip(pts, rng.uniform(0.2, 1.0, 5))), None)
+    mu = me.Measure(2, pts, rng.uniform(0.2, 1.0, 5))
     sp = spec2(alpha=0.5, s=1.0, K=8)
     for t in (0.5, 1.25):
         rep = tp.intertwine_check(mu, sp, t)
@@ -163,7 +163,7 @@ def test_intertwine_atoms_tiny_residual():
 
 
 def test_intertwine_t_zero_trivial():
-    mu = me.Measure(2, [(np.array([0.3, 0.3]), 1.0)], None)
+    mu = me.Measure(2, [np.array([0.3, 0.3])], [1.0])
     rep = tp.intertwine_check(mu, spec2(K=5), 0.0)
     assert rep.residual < 1e-12
 
@@ -183,7 +183,7 @@ def lat2():
 
 def test_trace_zero_measure(lat2):
     sp = spec2(K=5)
-    mu = me.Measure(2, [], None)
+    mu = me.Measure(2)
     rep = tp.trace_vs_berezin(mu, sp, lat2)
     assert rep.trace == 0.0
     assert rep.berezin_integral == 0.0
@@ -193,7 +193,7 @@ def test_trace_bracket_comparable_for_atoms(lat2):
     rng = np.random.default_rng(41)
     pts = rng.normal(size=(4, 2))
     pts *= (0.7 * rng.uniform(0.3, 1.0, 4) / np.linalg.norm(pts, axis=1))[:, None]
-    mu = me.Measure(2, list(zip(pts, rng.uniform(0.5, 1.5, 4))), None)
+    mu = me.Measure(2, pts, rng.uniform(0.5, 1.5, 4))
     sp = tp.BasisSpec(2, 1.0, 1.0, 8)
     rep = tp.trace_vs_berezin(mu, sp, lat2)
     assert rep.horizon == lat2.rmax
@@ -201,8 +201,7 @@ def test_trace_bracket_comparable_for_atoms(lat2):
 
 
 def test_schatten_diagnostic_classifications(lat2):
-    compact = me.Measure(2, [(np.array([0.2, 0.1]), 1.0),
-                             (np.array([-0.3, 0.25]), 0.5)], None)
+    compact = me.Measure(2, [[0.2, 0.1], [-0.3, 0.25]], [1.0, 0.5])
     sp = spec2(alpha=0.5, s=1.0, K=8)
     rep = tp.schatten_diagnostic(compact, sp, 2.0, lat2)
     assert rep.classifications["truncation_converges"]
@@ -215,7 +214,7 @@ def test_boundedness_estimate_identity_and_zero():
     est = tp.boundedness_estimate(mu, 2.0, 0.5, 2.0, 0.5, 1.0, 0.5,
                                   trials=6, seed=1)
     assert est == pytest.approx(1.0, rel=1e-9)
-    zero = me.Measure(2, [], None)
+    zero = me.Measure(2)
     assert tp.boundedness_estimate(zero, 2.0, 0.5, 2.0, 0.5, 1.0, 0.5,
                                    trials=4, seed=1) == 0.0
 
@@ -232,15 +231,14 @@ def _mixed_measure(n, seed, density=True):
     pts = rng.uniform(-0.45, 0.45, (4, n))
     pts[0] = 0.0
     d = me.Density("power-weight", 0.5, 0.7) if density else None
-    return me.Measure(n, list(zip(pts, rng.uniform(0.3, 1.0, 4))), d)
+    return me.Measure(n, pts, rng.uniform(0.3, 1.0, 4), d)
 
 
 def _section_pairing_matrix(mu, sp, t, shifted):
     """Integral-operator matrix of an atomic measure, with kernel-section
     coordinates from one closed-form pairing per (atom, basis element)."""
     basis, _ = tp.basis_build(sp)
-    Y = np.array([x for x, _ in mu.atoms])
-    wts = np.array([w for _, w in mu.atoms])
+    Y, wts = mu.points, mu.weights
     w_kernel = sp.s + t if shifted else sp.s
     gam = kc.gamma_coeffs(sp.n, w_kernel, sp.max_degree)
     A = np.zeros((len(basis), len(Y)))
@@ -249,9 +247,9 @@ def _section_pairing_matrix(mu, sp, t, shifted):
         if ry == 0.0:
             sec = constant_poly(sp.n, gam[0])
         else:
-            sec = ca.HarmonicPolynomial(sp.n, {
-                k: [(float(gam[k] * ry**k), y / ry)]
-                for k in range(sp.max_degree + 1)})
+            ks = range(sp.max_degree + 1)
+            sec = ca.HarmonicPolynomial(sp.n, ks, [float(gam[k] * ry**k) for k in ks],
+                                        [y / ry for k in ks])
         for i, e in enumerate(basis):
             A[i, a] = ca.inner_product_u_closed(sp.alpha, sp.s, sp.u, sec, e)
     if shifted:
@@ -290,7 +288,7 @@ def test_toeplitz_power_weight_density_matches_quadrature(n, K, level):
     E = np.stack([ca.evaluate_batch(ca.dts_apply(sp.s, sp.u, e), rule.points)
                   for e in basis])
     ref = d.scale * kc.v_alpha(n, w) * (E * rule.weights[None, :]) @ E.T
-    atoms_only = me.Measure(n, mu.atoms, None)
+    atoms_only = me.Measure(n, mu.points, mu.weights)
     ref += tp.toeplitz_matrix(atoms_only, sp).entries
     got = tp.toeplitz_matrix(mu, sp).entries
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -302,14 +300,14 @@ def test_operator_density_terms_match_quadrature():
     sp = tp.BasisSpec(2, 0.0, 1.0, 6)
     t = 0.5
     d = me.Density("power-weight", 0.5, 0.7)
-    mu = me.Measure(2, [], d)
+    mu = me.Measure(2, density=d)
     kappa = me.kappa_from_mu(mu, sp.s, t, sp.alpha)
     for meas, build in ((mu, tp.integral_operator_matrix),
                         (kappa, tp.shifted_operator_matrix)):
         dd = meas.density
         rule = ca.quadrature_build(2, dd.exponent, 96)
-        nodes = me.Measure(2, list(zip(
-            rule.points, dd.scale * kc.v_alpha(2, dd.exponent) * rule.weights)))
+        nodes = me.Measure(2, rule.points,
+                           dd.scale * kc.v_alpha(2, dd.exponent) * rule.weights)
         ref = build(nodes, sp, t)
         got = build(meas, sp, t)
         assert np.max(np.abs(got - ref)) <= 1e-10
@@ -327,9 +325,9 @@ def test_intertwine_atoms_and_power_weight(n, K):
 def test_intertwine_tabulated_density(n):
     # kappa reweights a table through its exponent, so both sides of the
     # intertwining use the same table at the same radial nodes
-    mu = me.Measure(n, [], me.Density("tabulated-radial", 0.0, 1.0,
-                                      np.linspace(0.0, 1.0, 11),
-                                      np.linspace(1.0, 2.0, 11)))
+    mu = me.Measure(n, density=me.Density("tabulated-radial", 0.0, 1.0,
+                                          np.linspace(0.0, 1.0, 11),
+                                          np.linspace(1.0, 2.0, 11)))
     rep = tp.intertwine_check(mu, tp.BasisSpec(n, 0.0, 1.0, 4), 0.5)
     assert rep.residual <= 1e-12
 
@@ -338,9 +336,9 @@ def test_intertwine_tabulated_density(n):
 def test_table_matches_power_weight(n):
     # 0.7 (1-r^2)^2 sampled on 2,001 nodes against its closed form
     r = np.linspace(0.0, 1.0, 2001)
-    table = me.Measure(n, [], me.Density("tabulated-radial", 0.0, 0.7, r,
-                                         (1.0 - r**2) ** 2))
-    power = me.Measure(n, [], me.Density("power-weight", 2.0, 0.7))
+    table = me.Measure(n, density=me.Density("tabulated-radial", 0.0, 0.7, r,
+                                             (1.0 - r**2) ** 2))
+    power = me.Measure(n, density=me.Density("power-weight", 2.0, 0.7))
     X = np.zeros((3, n))
     X[:, 0] = (0.0, 0.5, 0.9)
     got = me.berezin2(table, 1.5, 0.5, X)
