@@ -27,8 +27,9 @@ class HarmonicPolynomial:
     """Atom a is coefs[a] Z_{degrees[a]}(., poles[a]), poles unit vectors.
 
     degrees (A,), coefs (A,) and poles (A, n) are copied to read-only
-    arrays and checked once here: the shapes agree and no degree is
-    negative.  A may be 0, the zero polynomial.
+    arrays and checked once here: the shapes agree, every degree is a
+    nonnegative integer and every pole a unit vector (to 1e-12 in |eta|^2).
+    A may be 0, the zero polynomial.
     """
     n: int
     degrees: np.ndarray = ()
@@ -36,14 +37,18 @@ class HarmonicPolynomial:
     poles: np.ndarray = ()
 
     def __post_init__(self):
-        deg = np.array(self.degrees, dtype=np.int64)
+        deg = np.array(self.degrees, dtype=np.float64)
         coef = np.array(self.coefs, dtype=np.float64)
         poles = np.array(self.poles, dtype=np.float64).reshape(-1, self.n)
         if not deg.shape == coef.shape == (poles.shape[0],):
             raise ValueError(f"{poles.shape[0]} poles in R^{self.n} but degrees of "
                              f"shape {deg.shape} and coefficients of shape {coef.shape}")
-        if not np.all(deg >= 0):
-            raise ValueError("degrees must be nonnegative")
+        # per atom in Python: A is small, and is_integer() is False at NaN and inf
+        if not all(k >= 0 and k.is_integer() for k in deg.tolist()):
+            raise ValueError(f"degrees must be nonnegative integers, got {deg}")
+        if not all(abs(s - 1.0) <= 1e-12 for s in np.square(poles).sum(axis=1).tolist()):
+            raise ValueError("poles must be unit vectors")
+        deg = deg.astype(np.int64)
         deg.flags.writeable = coef.flags.writeable = poles.flags.writeable = False
         self.degrees, self.coefs, self.poles = deg, coef, poles
 

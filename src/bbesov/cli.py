@@ -21,13 +21,7 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .errors import ParameterError, TruncationError
-
-
-def _vec(text):
-    return np.array([float(v) for v in text.split(",")])
 
 
 def _floats(text):
@@ -92,16 +86,8 @@ def _fmt(v):
 
 
 def _json(obj):
-    def default(o):
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        if isinstance(o, (np.floating, np.integer)):
-            return o.item()
-        if isinstance(o, np.bool_):
-            return bool(o)
-        raise TypeError(type(o))
-
-    return json.dumps(obj, indent=2, sort_keys=True, default=default)
+    # numpy arrays and scalars; tolist() gives the nested Python values
+    return json.dumps(obj, indent=2, sort_keys=True, default=lambda o: o.tolist())
 
 
 # --------------------------------------------------------------------------
@@ -109,15 +95,12 @@ def _json(obj):
 
 def cmd_kernel(args):
     if args.kernel_cmd == "eval":
-        from . import kernelcore as kc
-        x = _vec(args.x)
-        y = _vec(args.y)
-        if float(x @ x) >= 1.0 or float(y @ y) >= 1.0:
-            raise ParameterError("Eq. (1.1)",
-                                 "points must lie in the open unit ball")
-        kv = kc.kernel_eval(args.n, args.alpha, x, y, args.tol)
+        from . import series
+        kv = series.kernel_eval(args.n, args.alpha, _floats(args.x), _floats(args.y),
+                                args.tol)
         _emit(args, _json({"value": kv.value,
                            "truncation_bound": kv.truncation_bound,
+                           "rounding_bound": kv.rounding_bound,
                            "terms_used": kv.terms_used}))
         return 0
     from . import calculus as ca
@@ -156,6 +139,8 @@ def cmd_lattice(args):
 
 
 def cmd_measure(args):
+    import numpy as np
+
     from . import geometry as ge
     from . import measures as me
     with open(args.file) as fh:
@@ -174,7 +159,7 @@ def cmd_measure(args):
             "vanishing": prof.vanishing, "fitted_slope": prof.fitted_slope,
             "note": prof.note, "horizon": lat.rmax}))
     elif args.measure_cmd == "berezin":
-        x = _vec(args.x)
+        x = np.array(_floats(args.x))
         val = me.berezin2(mu, args.phi, args.alpha, x, args.tol, args.level)
         _emit(args, _json({"x": x, "Phi": args.phi, "alpha": args.alpha,
                            "value": val}))

@@ -1,28 +1,28 @@
-"""Series coefficients, zonal harmonics, and certified kernel evaluation.
+"""Zonal harmonics and kernel series on arrays of points.
 
 The reproducing kernel of the weighted harmonic space with real weight
 parameter ``alpha`` on the unit ball of R^n is the series
 
     R_alpha(x, y) = sum_k gamma_k(alpha) Z_k(x, y)
 
-over extended zonal harmonics Z_k.  Everything here is a pure function of
-immutable inputs; coefficient caches are append-only arrays guarded by the
-GIL (single-writer growth, concurrent reads safe).  The gamma cache keeps
-at most GAMMA_CACHE_KEYS (n, alpha) keys and drops the oldest first.
+over extended zonal harmonics Z_k.  The coefficients, the tail bound, the
+term planner and the scalar kernel value live in ``series``, which imports
+no numpy; this module sums the series over arrays.  Everything here is a
+pure function of immutable inputs; the coefficient caches only grow,
+guarded by the GIL (single-writer growth, concurrent reads safe).
 """
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TruncationError
+# the array layers look these up here (kc.plan_terms, kc.gamma_k, ...), and
+# perfbench/tracer.py wraps kc.plan_terms and counts calls of kc.tail_bound,
+# so gamma_k and tail_bound are imported for other modules
+from .series import (DEFAULT_MAX_TERMS, dim_harmonics, gamma_k, gamma_table,
+                     plan_terms, tail_bound)
 
-DEFAULT_MAX_TERMS = 100_000
-
-GAMMA_CACHE_KEYS = 1024  # `verify all` ends with 118 keys (0.72 MB)
-_gamma_cache: dict = {}
 _hdim_cache: dict = {}
 
 
@@ -36,62 +36,16 @@ def pochhammer(a: float, b: int) -> float:
     return out
 
 
-def dim_harmonics(n: int, k: int) -> int:
-    """Dimension h_k of the space of degree-k spherical harmonics in R^n."""
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    if k == 0:
-        return 1
-    if k == 1:
-        return n
-    return math.comb(n + k - 1, k) - math.comb(n + k - 3, k - 2)
-
-
-def _gamma_ratio(n: int, alpha: float, k):
-    """gamma_{k+1}(alpha) / gamma_k(alpha), elementwise for an array k."""
-    half = n / 2.0
-    if alpha > -(1.0 + half):
-        return (1.0 + half + alpha + k) / (half + k)
-    return (k + 1.0) ** 2 / ((1.0 - (half + alpha) + k) * (half + k))
-
-
 def _gamma_array(n: int, alpha: float, kmax: int) -> np.ndarray:
-    key = (n, float(alpha))
-    arr = _gamma_cache.get(key)
-    if arr is None or arr.shape[0] <= kmax:
-        size = max(kmax + 1, 64)
-        if arr is None:
-            arr = np.ones(1)
-        else:
-            size = max(size, 2 * arr.shape[0])
-        m = arr.shape[0]
-        # one running product seeded with the last known value multiplies in
-        # the same order as a term-by-term fill, so the table is bit-identical
-        ratios = _gamma_ratio(n, alpha, np.arange(m - 1, size - 1, dtype=np.float64))
-        new = np.concatenate((arr[:-1], np.cumprod(np.concatenate((arr[-1:], ratios)))))
-        new.setflags(write=False)  # callers get views of the shared cache
-        if key not in _gamma_cache and len(_gamma_cache) >= GAMMA_CACHE_KEYS:
-            del _gamma_cache[next(iter(_gamma_cache))]
-        arr = new
-        _gamma_cache[key] = arr
+    """series.gamma_table as a read-only array without a copy (> kmax long)."""
+    arr = np.frombuffer(gamma_table(n, alpha, kmax))
+    arr.setflags(write=False)  # callers get views of the shared cache
     return arr
 
 
 def gamma_coeffs(n: int, alpha: float, kmax: int) -> np.ndarray:
-    """Array [gamma_0, ..., gamma_kmax], computed by incremental ratios.
-
-    The two closed-form branches meet at alpha = -(1 + n/2) with a genuine
-    jump; the branch condition is the strict inequality alpha > -(1 + n/2)
-    and no smoothing is applied.
-    """
+    """Array [gamma_0, ..., gamma_kmax] (see series.gamma_table)."""
     return _gamma_array(n, alpha, kmax)[: kmax + 1]
-
-
-def gamma_k(n: int, alpha: float, k: int) -> float:
-    """Kernel series coefficient gamma_k(alpha); gamma_0 = 1, all positive."""
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    return float(gamma_coeffs(n, alpha, k)[k])
 
 
 def hdim_coeffs(n: int, kmax: int) -> np.ndarray:
@@ -160,92 +114,6 @@ def zonal(n: int, k: int, x, y) -> float:
     coeffs[k] = 1.0
     nu = (n - 2) / 2.0
     return float(zonal_series(coeffs, nu, w, a2)[0])
-
-
-@dataclass
-class KernelValue:
-    value: float
-    truncation_bound: float
-    terms_used: int
-
-
-def _tail_exponent(n: int, alpha: float, k: int) -> float:
-    """Safe exponent m with gamma_j h_j ratio <= (1 + m/j) for j >= k."""
-    g = _gamma_ratio(n, alpha, k)
-    hk = dim_harmonics(n, k)
-    hk1 = dim_harmonics(n, k + 1)
-    r = g * hk1 / hk
-    u_here = k * (r - 1.0)
-    u_limit = n - 1.0 + alpha
-    return max(u_here, u_limit) + 1.0
-
-
-def tail_bound(n: int, alpha: float, q: float, k_used: int) -> float:
-    """Certified bound on sum_{k >= k_used} gamma_k h_k q^k.
-
-    Uses |Z_k(x,y)| <= h_k (|x||y|)^k and the geometric majorant
-    gamma_k h_k <= g_{K} (1 + m/K)^{k-K} with K = k_used.
-    Returns +inf when the majorant's geometric ratio is not < 1 yet.
-    """
-    if q <= 0.0:
-        return 0.0
-    K = k_used
-    m = _tail_exponent(n, alpha, K)
-    R = 1.0 + max(m, 0.0) / K if K > 0 else 1.0 + max(m, 0.0)
-    if R * q >= 1.0:
-        return math.inf
-    gK = gamma_k(n, alpha, K) * dim_harmonics(n, K)
-    return gK * q**K / (1.0 - R * q)
-
-
-def plan_terms(n: int, alpha: float, q: float, tol: float,
-               max_terms: int = DEFAULT_MAX_TERMS) -> int:
-    """Smallest K (number of terms) with certified tail <= tol at radius product q."""
-    if q <= 0.0:
-        return 1
-    lo, K = 7, 8  # lo: the last K that failed (7 stands for none)
-    while K <= max_terms:
-        if tail_bound(n, alpha, q, K) <= tol:
-            break
-        lo, K = K, min(max_terms + 1, max(K + 8, int(K * 1.3)))
-    if K > max_terms:
-        raise TruncationError(tail_bound(n, alpha, q, max_terms), max_terms)
-    # K grew geometrically: bisect between the last failure and K
-    while K - lo > 1:
-        mid = (lo + K) // 2
-        if tail_bound(n, alpha, q, mid) <= tol:
-            K = mid
-        else:
-            lo = mid
-    return K
-
-
-def kernel_eval(n: int, alpha: float, x, y, tol: float = 1e-12,
-                max_terms: int = DEFAULT_MAX_TERMS) -> KernelValue:
-    """Certified evaluation of R_alpha(x, y) inside the open unit ball.
-
-    Returns the partial sum over degrees < terms_used together with a
-    certified bound on the discarded tail (truncation_bound <= tol).
-    Raises TruncationError if the bound cannot reach tol within max_terms.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    nx2 = float(np.dot(x, x))
-    ny2 = float(np.dot(y, y))
-    if nx2 >= 1.0 or ny2 >= 1.0:
-        raise ValueError("points must lie in the open unit ball")
-    q = math.sqrt(nx2 * ny2)
-    if q == 0.0:
-        return KernelValue(1.0, 0.0, 1)
-    K = plan_terms(n, alpha, q, tol, max_terms)
-    coeffs = gamma_coeffs(n, alpha, K - 1)
-    w = np.array([float(np.dot(x, y))])
-    a2 = np.array([nx2 * ny2])
-    nu = (n - 2) / 2.0
-    value = float(zonal_series(coeffs, nu, w, a2)[0])
-    return KernelValue(value, tail_bound(n, alpha, q, K), K)
 
 
 def kernel_eval_batch(n: int, alpha: float, x, Y, tol: float = 1e-12,

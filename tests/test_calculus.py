@@ -58,8 +58,9 @@ def test_degree_values_of_empty_polynomial():
 
 
 def test_harmonic_polynomial_checks_its_arrays():
-    f = ca.HarmonicPolynomial(2, [0, 2], [1.5, -1.0], [[1.0, 0.0], [0.6, 0.8]])
+    f = ca.HarmonicPolynomial(2, [0, 2.0], [1.5, -1.0], [[1.0, 0.0], [0.6, 0.8]])
     assert f.degrees.dtype == np.int64 and f.poles.shape == (2, 2)
+    assert f.degrees.tolist() == [0, 2]  # an integral float is a degree
     assert f.max_degree() == 2 and ca.HarmonicPolynomial(2).max_degree() == 0
     with pytest.raises(ValueError):
         f.coefs[0] = 2.0  # read-only
@@ -69,6 +70,12 @@ def test_harmonic_polynomial_checks_its_arrays():
         ([0, 1], [1.0, 2.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),  # poles in R^3
         ([1], [1.0], [[1.0, 0.0, 0.0]]),                   # pole in R^3, odd size
         ([-1], [1.0], [[1.0, 0.0]]),                       # negative degree
+        ([2.5], [1.0], [[1.0, 0.0]]),                      # degree not an integer
+        ([np.nan], [1.0], [[1.0, 0.0]]),                   # degree NaN
+        ([np.inf], [1.0], [[1.0, 0.0]]),                   # degree infinite
+        ([1], [1.0], [[2.0, 0.0]]),                        # pole of norm 2
+        ([0], [1.0], [[0.0, 0.0]]),                        # zero pole, degree 0
+        ([1], [1.0], [[np.nan, 0.0]]),                     # pole NaN
     ]
     for deg, coef, poles in bad:
         with pytest.raises(ValueError):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -9,8 +8,8 @@ import numpy as np
 import pytest
 
 from bbesov import calculus as ca
-from bbesov import kernelcore as kc
 from bbesov import measures as me
+from bbesov import series
 from bbesov import verify as vf
 from bbesov.cli import VERIFY_SUITES, main
 
@@ -45,6 +44,18 @@ def test_kernel_eval_outside_ball_exit2(capsys):
     assert "[violates Eq. (1.1)]" in err
 
 
+@pytest.mark.parametrize("n, x, y", [
+    ("3", "0.1,0.2", "0.1,0.2"),          # 2-vectors for the n = 3 kernel
+    ("2", "0.1,0.2,0.3", "0.1,0.2"),      # a 3-vector x
+    ("2", "0.1,0.2", "0.1"),              # a 1-vector y
+])
+def test_kernel_eval_refuses_wrong_dimension(capsys, n, x, y):
+    code, out, err = run(capsys, ["kernel", "eval", "--n", n, "--alpha", "0",
+                                  f"--x={x}", f"--y={y}"])
+    assert (code, out) == (2, "")
+    assert err.startswith("parameter error: a point of R^") and "[violates Eq. (1.1)]" in err
+
+
 def test_kernel_norm_scan_csv_shape(capsys):
     radii = "0.9,0.95,0.98,0.99"
     code, out, _ = run(capsys, ["kernel", "norm-scan", "--alpha", "1.0",
@@ -71,23 +82,23 @@ def test_bracket_scan_runs(capsys):
 # the pin and says so
 _EVAL_PINS = [
     ("0.8717052783674617,-0.3070540055739413", "0.5078055899037621,-0.8162292587709897",
-     307, "9.851159584742602e-13", "-3.645986654425714"),
+     "2.2204460492503155e-16", 307, "9.851159584742602e-13", "-3.6459866544257147"),
     ("-0.24944016355726734,-0.8733995219576552", "0.3471228838074293,-0.8888358337351667",
-     252, "8.901156341607541e-13", "-3.5934762827530315"),
+     "2.220446049250314e-16", 252, "8.901156341607541e-13", "-3.5934762827530307"),
     ("0.6075686877349812,0.7373989468407072", "0.24112142628057176,-0.8800852480834925",
-     263, "9.48537045105587e-13", "-0.542298564803284"),
+     "5.551115123125796e-17", 263, "9.48537045105587e-13", "-0.5422985648032831"),
     ("0.7425270701987614,-0.5952639490691324", "0.7159449599300495,-0.5955296751787182",
-     301, "9.177071942083026e-13", "144.32153470768532"),
+     "1.4210854715202004e-14", 301, "9.177071942083026e-13", "144.321534707686"),
 ]
 
 
 def test_kernel_eval_output_pinned(capsys):
-    for x, y, terms, bound, value in _EVAL_PINS:
+    for x, y, rounding, terms, bound, value in _EVAL_PINS:
         code, out, _ = run(capsys, ["kernel", "eval", "--n", "2", "--alpha", "0",
                                     "--tol", "1e-12", f"--x={x}", f"--y={y}"])
         assert code == 0
-        assert out == (f'{{\n  "terms_used": {terms},\n  "truncation_bound": {bound},'
-                       f'\n  "value": {value}\n}}\n')
+        assert out == (f'{{\n  "rounding_bound": {rounding},\n  "terms_used": {terms},'
+                       f'\n  "truncation_bound": {bound},\n  "value": {value}\n}}\n')
 
 
 def test_lattice_json_and_determinism(capsys, tmp_path):
@@ -386,6 +397,7 @@ for argv in json.loads(sys.argv[1]):
     runs.append([code, out.getvalue()])
 print(json.dumps({"runs": runs, "scipy": sorted(m for m in sys.modules
                                                  if m.split(".")[0] == "scipy"),
+                  "numpy": "numpy" in sys.modules,
                   "bbesov": sorted(m.partition(".")[2] for m in sys.modules
                                    if m.startswith("bbesov.") and m != "bbesov.cli")}))
 """
@@ -393,8 +405,8 @@ print(json.dumps({"runs": runs, "scipy": sorted(m for m in sys.modules
 
 def _child_process(argvs, mode):
     """Run main(argv) for each argv in one child interpreter, which prints its
-    (exit code, stdout) per argv and the scipy modules and bbesov submodules
-    other than cli that it holds at the end.
+    (exit code, stdout) per argv, the scipy modules and bbesov submodules
+    other than cli that it holds at the end, and whether it holds numpy.
     mode is a comma list: "block" makes every scipy import raise ImportError,
     "import-scipy" imports scipy.special before bbesov.  The child inherits
     the caller's environment, with the bbesov under test first on its path."""
@@ -447,24 +459,28 @@ def test_cli_runs_with_scipy_blocked(perfbench_runs):
     assert "ImportError: scipy is blocked" in _child_process([], "block,import-scipy").stderr
 
 
-_EVAL_LOADS = {"kernelcore", "errors"}
+_EVAL_LOADS = {"series", "errors"}
+_SERIES_LOADS = _EVAL_LOADS | {"kernelcore"}
 
 
-@pytest.mark.parametrize("argv, loaded", [
-    (None, {"errors"}),
-    (["kernel", "eval", "--alpha", "0.3", "--x", "0.1,0", "--y", "0,0.2"], _EVAL_LOADS),
+@pytest.mark.parametrize("argv, loaded, numpy", [
+    (None, {"errors"}, False),
+    (["kernel", "eval", "--alpha", "0.3", "--x", "0.1,0", "--y", "0,0.2"], _EVAL_LOADS, False),
     (["kernel", "norm-scan", "--alpha", "1", "--p", "2", "--beta", "0",
-      "--radii", "0.9,0.95"], _EVAL_LOADS | {"calculus"}),
+      "--radii", "0.9,0.95"], _SERIES_LOADS | {"calculus"}, True),
     (["kernel", "bracket-scan", "--beta", "0", "--s", "1", "--radii", "0.9,0.95"],
-     _EVAL_LOADS | {"calculus"}),
-    (["lattice", "--delta", "0.5", "--horizon", "0.6"], _EVAL_LOADS | {"calculus", "geometry"}),
+     _SERIES_LOADS | {"calculus"}, True),
+    (["lattice", "--delta", "0.5", "--horizon", "0.6"],
+     _SERIES_LOADS | {"calculus", "geometry"}, True),
 ], ids=["import-only", "eval", "norm-scan", "bracket-scan", "lattice"])
-def test_command_loads_only_its_layers(argv, loaded):
+def test_command_loads_only_its_layers(argv, loaded, numpy):
     # a fresh interpreter, so no other test's imports count; import bbesov.cli
-    # alone (argv None) loads no layer
+    # alone (argv None) loads no layer, and neither it nor `kernel eval`
+    # imports numpy
     got = _child([argv] if argv else [])
     assert [code for code, _ in got["runs"]] == ([0] if argv else [])
     assert set(got["bbesov"]) == loaded
+    assert got["numpy"] is numpy
 
 
 def test_refused_rule_exits_2(capsys, monkeypatch):
@@ -492,9 +508,9 @@ def test_nonfinite_report_exits_1(capsys, monkeypatch, tmp_path):
     assert run(capsys, argv + ["--output", str(out)])[:2] == (1, "")
     assert not out.exists()
 
-    real_eval = kc.kernel_eval
-    monkeypatch.setattr(kc, "kernel_eval", lambda *a: dataclasses.replace(
-        real_eval(*a), value=float("inf")))
+    real_eval = series.kernel_eval
+    monkeypatch.setattr(series, "kernel_eval",
+                        lambda *a: real_eval(*a)._replace(value=float("inf")))
     assert run(capsys, ["kernel", "eval", "--alpha", "0", "--x=0.3,0.1", "--y=0,0.5"]) \
         == (1, "", "non-finite result: value = inf\n")
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bbesov import calculus as ca
 from bbesov import kernelcore as kc
+from bbesov import series
 from bbesov.kernelcore import zonal_series as zonal_py
 from bbesov.errors import TruncationError
 
@@ -60,12 +61,12 @@ def test_gamma_coeffs_read_only():
 
 
 def test_gamma_cache_bounded_oldest_first(monkeypatch):
-    monkeypatch.setattr(kc, "_gamma_cache", {})
+    monkeypatch.setattr(series, "_gamma_cache", {})
     first = kc.gamma_coeffs(3, 0.123, 100).copy()
     for i in range(2000):
         kc.gamma_coeffs(3, 1.0 + i / 2000.0, 10)
-    assert len(kc._gamma_cache) <= 1024
-    assert (3, 0.123) not in kc._gamma_cache
+    assert len(series._gamma_cache) <= 1024
+    assert (3, 0.123) not in series._gamma_cache
     again = kc.gamma_coeffs(3, 0.123, 100)
     assert not again.flags.writeable
     assert again.tobytes() == first.tobytes()
@@ -86,7 +87,7 @@ def _gamma_loop(n, alpha, size):
 @pytest.mark.parametrize("n", [2, 3, 5])
 @pytest.mark.parametrize("alpha", [0.75, -4.25])  # one per branch
 def test_gamma_array_bit_equal_to_loop(monkeypatch, n, alpha):
-    monkeypatch.setattr(kc, "_gamma_cache", {})
+    monkeypatch.setattr(series, "_gamma_cache", {})
     fresh = kc._gamma_array(n, alpha, 100)
     assert np.array_equal(fresh, _gamma_loop(n, alpha, fresh.size))
     grown = kc._gamma_array(n, alpha, 1000)  # extends the cached table
@@ -204,8 +205,8 @@ def test_kernel_eval_at_origin_exact():
     for n in (2, 3):
         for alpha in (-3.0, -1.5, 0.0, 2.0):
             x = rng.uniform(-0.4, 0.4, n)
-            assert kc.kernel_eval(n, alpha, x, np.zeros(n)).value == 1.0
-            assert kc.kernel_eval(n, alpha, np.zeros(n), x).value == 1.0
+            assert series.kernel_eval(n, alpha, x, np.zeros(n)).value == 1.0
+            assert series.kernel_eval(n, alpha, np.zeros(n), x).value == 1.0
 
 
 def test_kernel_symmetry_bit_exact():
@@ -215,8 +216,8 @@ def test_kernel_symmetry_bit_exact():
             for _ in range(10):
                 x = rng.uniform(-0.6, 0.6, n)
                 y = rng.uniform(-0.6, 0.6, n)
-                assert (kc.kernel_eval(n, alpha, x, y).value
-                        == kc.kernel_eval(n, alpha, y, x).value)
+                assert (series.kernel_eval(n, alpha, x, y).value
+                        == series.kernel_eval(n, alpha, y, x).value)
 
 
 def test_kernel_alpha_zero_is_classical_n2():
@@ -227,7 +228,7 @@ def test_kernel_alpha_zero_is_classical_n2():
     for _ in range(10):
         x = rng.uniform(-0.6, 0.6, 2)
         y = rng.uniform(-0.6, 0.6, 2)
-        kv = kc.kernel_eval(2, 0.0, x, y, tol=1e-13)
+        kv = series.kernel_eval(2, 0.0, x, y, tol=1e-13)
         r, s = np.linalg.norm(x), np.linalg.norm(y)
         t = np.arctan2(x[1], x[0]) - np.arctan2(y[1], y[0])
         brute = 1.0 + sum(2.0 * (k + 1) * (r * s) ** k * np.cos(k * t)
@@ -241,7 +242,7 @@ def test_certified_tail_bound_behavioral():
             for r in (0.5, 0.9):
                 x = np.full(n, r / math.sqrt(n))
                 y = -0.95 * x
-                kv = kc.kernel_eval(n, alpha, x, y, tol=1e-8)
+                kv = series.kernel_eval(n, alpha, x, y, tol=1e-8)
                 K4 = 4 * kv.terms_used
                 coeffs = kc.gamma_coeffs(n, alpha, K4 - 1)
                 w = np.array([float(x @ y)])
@@ -251,29 +252,29 @@ def test_certified_tail_bound_behavioral():
                 assert kv.truncation_bound <= 1e-8
 
 
-def _plan_terms_walk(n, alpha, q, tol, max_terms=kc.DEFAULT_MAX_TERMS):
+def _plan_terms_walk(n, alpha, q, tol, max_terms=series.DEFAULT_MAX_TERMS):
     # the former plan_terms: geometric growth, then down one term at a time
     K = 8
     while K <= max_terms:
-        if kc.tail_bound(n, alpha, q, K) <= tol:
+        if series.tail_bound(n, alpha, q, K) <= tol:
             break
         K = min(max_terms + 1, max(K + 8, int(K * 1.3)))
     if K > max_terms:
-        raise TruncationError(kc.tail_bound(n, alpha, q, max_terms), max_terms)
-    while K > 8 and kc.tail_bound(n, alpha, q, K - 1) <= tol:
+        raise TruncationError(series.tail_bound(n, alpha, q, max_terms), max_terms)
+    while K > 8 and series.tail_bound(n, alpha, q, K - 1) <= tol:
         K -= 1
     return K
 
 
 def test_plan_terms_bisection_matches_walk(monkeypatch):
     calls = {"n": 0}
-    tail_bound = kc.tail_bound
+    tail_bound = series.tail_bound
 
     def counted(*args):
         calls["n"] += 1
         return tail_bound(*args)
 
-    monkeypatch.setattr(kc, "tail_bound", counted)
+    monkeypatch.setattr(series, "tail_bound", counted)
 
     def plan(fn, *args):
         try:
@@ -287,7 +288,7 @@ def test_plan_terms_bisection_matches_walk(monkeypatch):
             for tol in (1e-6, 1e-8, 1e-10, 1e-12, 1e-14)]
     walk = [plan(_plan_terms_walk, *case) for case in grid]
     walk_calls, calls["n"] = calls["n"], 0
-    assert [plan(kc.plan_terms, *case) for case in grid] == walk
+    assert [plan(series.plan_terms, *case) for case in grid] == walk
     assert calls["n"] * 10 < walk_calls
     for case, K in zip(grid, walk):
         if isinstance(K, int):
@@ -297,7 +298,7 @@ def test_plan_terms_bisection_matches_walk(monkeypatch):
 def test_truncation_error_raised():
     x = np.array([0.9999, 0.0])
     with pytest.raises(TruncationError):
-        kc.kernel_eval(2, 0.0, x, x, tol=1e-14, max_terms=50)
+        series.kernel_eval(2, 0.0, x, x, tol=1e-14, max_terms=50)
 
 
 def test_kernel_diag_matches_eval():
@@ -306,7 +307,7 @@ def test_kernel_diag_matches_eval():
         x = rng.uniform(-0.5, 0.5, n)
         r2 = float(x @ x)
         d = float(kc.kernel_diag(n, alpha, np.array([r2]), tol=1e-13)[0])
-        v = kc.kernel_eval(n, alpha, x, x, tol=1e-13).value
+        v = series.kernel_eval(n, alpha, x, x, tol=1e-13).value
         assert d == pytest.approx(v, rel=1e-12)
 
 
@@ -317,7 +318,7 @@ def test_kernel_eval_batch_matches_scalar():
     vals = kc.kernel_eval_batch(3, 0.7, x, Y, tol=1e-12)
     for i in range(0, 25, 7):
         assert vals[i] == pytest.approx(
-            kc.kernel_eval(3, 0.7, x, Y[i], tol=1e-13).value, rel=1e-10)
+            series.kernel_eval(3, 0.7, x, Y[i], tol=1e-13).value, rel=1e-10)
     # an (N, n) x gives the (N, M) matrix, rows as for each x alone
     X = np.vstack([x, np.zeros(3), rng.uniform(-0.5, 0.5, (3, 3))])
     mat = kc.kernel_eval_batch(3, 0.7, X, Y, tol=1e-12)

@@ -4,6 +4,7 @@ import pytest
 from bbesov import calculus as ca
 from bbesov import kernelcore as kc
 from bbesov import measures as me
+from bbesov import series
 from bbesov import toeplitz as tp
 from bbesov.errors import ParameterError
 
@@ -87,7 +88,7 @@ def test_rank_one_atom_structure():
     q = float(x0 @ x0)
     expect = (w0 * (1 - q) ** (2 * sp.u) * kc.v_alpha(2, sp.alpha)
               / kc.v_alpha(2, sp.Phi)
-              * kc.kernel_eval(2, sp.Phi, x0, x0, tol=1e-13).value)
+              * series.kernel_eval(2, sp.Phi, x0, x0, tol=1e-13).value)
     assert rep.eigenvalues[0] == pytest.approx(expect, rel=1e-4)
     assert np.max(np.abs(rep.eigenvalues[1:])) <= 1e-6 * rep.eigenvalues[0]
 
