@@ -1,4 +1,5 @@
-"""Harmonic polynomials, radial differential operators, norms, quadrature.
+"""Harmonic polynomials, radial differential operators, norms, quadrature,
+and the quadrature kernel-power scan (the series scans live in ``series``).
 
 A harmonic polynomial is stored as zonal atoms: its degree-k homogeneous
 part is f_k(x) = sum_j c_j Z_k(x, eta_j) with unit-vector poles eta_j.
@@ -12,10 +13,12 @@ from functools import cached_property
 import numpy as np
 
 from . import kernelcore as kc
-from .errors import ParameterError, TruncationError
-# no calculus code calls this name; it stays because perfbench/tracer.py
-# wraps it here
+from . import series
+from .errors import ParameterError
+# no calculus code calls these names; they stay because perfbench/tracer.py
+# wraps them here
 from .kernelcore import zonal_series
+from .series import bracket_integral_scan
 
 
 # --------------------------------------------------------------------------
@@ -347,14 +350,6 @@ def besov_norm(params: SpaceParams, f: HarmonicPolynomial,
     return float((pref * total) ** (1.0 / params.p))
 
 
-def radial_moment(n: int, w: float, k: int) -> float:
-    """Moment of |x|^{2k} against the normalized weight-w volume measure.
-
-    Equals B(k + n/2, w + 1)/B(n/2, w + 1) = (n/2)_k / (n/2 + w + 1)_k.
-    """
-    return kc.pochhammer(n / 2.0, k) / kc.pochhammer(n / 2.0 + w + 1.0, k)
-
-
 def inner_product_u_closed(alpha: float, s: float, u: float,
                            f: HarmonicPolynomial, g: HarmonicPolynomial) -> float:
     """Exact value of the order-u pairing, by degree orthogonality.
@@ -372,7 +367,7 @@ def inner_product_u_closed(alpha: float, s: float, u: float,
     gam_su = kc.gamma_coeffs(n, s + u, kmax)
     gam_s = kc.gamma_coeffs(n, s, kmax)
     pref = kc.v_alpha(n, Phi) / kc.v_alpha(n, alpha)
-    moments = np.array([radial_moment(n, Phi, k) for k in range(kmax + 1)])
+    moments = np.array(series.radial_moments(n, Phi, kmax))
     keep = np.flatnonzero(g.degrees <= f.max_degree())
     k = g.degrees[keep]
     fk = degree_values(f, g.poles)[k, keep]  # f_k at g's degree-k poles
@@ -383,61 +378,15 @@ def inner_product_u_closed(alpha: float, s: float, u: float,
 # radius scans for the kernel-growth estimates
 
 
-def fit_slope(one_minus_r2: np.ndarray, values: np.ndarray) -> float:
-    """Least-squares slope of log(values) against log(one_minus_r2)."""
-    lx = np.log(np.asarray(one_minus_r2, dtype=np.float64))
-    ly = np.log(np.asarray(values, dtype=np.float64))
-    A = np.stack([lx, np.ones_like(lx)], axis=1)
-    sol, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    return float(sol[0])
-
-
-@dataclass
-class ScanResult:
-    radii: np.ndarray
-    one_minus_r2: np.ndarray
-    values: np.ndarray
-    slope: float
-    max_min_ratio: float
-    predicted_exponent: float
-
-
-def radial_moments(n: int, w: float, K: int) -> np.ndarray:
-    """radial_moment(n, w, k) for k = 0..K, as a cumulative product of the
-    ratios (n/2 + k)/(n/2 + w + 1 + k), which stays finite for large K."""
-    ks = np.arange(K)
-    return np.concatenate(([1.0], np.cumprod((n / 2.0 + ks) / (n / 2.0 + w + 1.0 + ks))))
-
-
-def _kernel_power_integral_p2(n: int, alpha: float, r, moments):
-    """Exact series for int |R_alpha(x, .)|^2 dmu, |x| = r, mu radial.
-
-    By sphere orthogonality this is sum_k gamma_k^2 h_k r^{2k} M_k, where
-    moments(K) returns the moments M_0..M_K of |y|^{2k} under mu.  r is a
-    scalar (float result) or an array of radii (array result), with one
-    truncation planned at the largest radius.
-    """
-    r = np.asarray(r, dtype=np.float64)
-    rmax = float(r.max(initial=0.0))
-    # choose truncation from the plain-kernel planner at q = max r (terms decay
-    # at least as fast once multiplied by the moment ratio, which is <= 1)
-    K = kc.plan_terms(n, alpha, rmax * rmax, 1e-14) + 16
-    c = kc.gamma_coeffs(n, alpha, K) ** 2 * kc.hdim_coeffs(n, K) * moments(K)
-    r2 = np.atleast_1d(r) ** 2
-    # Horner evaluation of the power series in r2
-    out = np.zeros_like(r2)
-    for ck in c[::-1]:
-        out = out * r2 + ck
-    return float(out[0]) if r.ndim == 0 else out
-
-
 def _doubled(value, level: int, rel: float):
-    """value(m) at m = level, 2 level, ... until all entries agree to rel or m = 16 level."""
+    """(value(m), m, gap) at m = level, 2 level, ... until all entries agree to
+    rel or m = 16 level; gap is the largest relative change from the pass before."""
     prev, m = None, level
     while True:
         val = value(m)
+        gap = None if prev is None else float(np.max(np.abs(val - prev) / np.abs(val)))
         if prev is not None and np.all(np.abs(val - prev) <= rel * np.abs(val)) or m >= 16 * level:
-            return val
+            return val, m, gap
         prev, m = val, 2 * m
 
 
@@ -458,7 +407,8 @@ def kernel_power_integral(n: int, alpha: float, p: float, radii, rule, level: in
     sum_k gamma_k q^k Z_k(t) in q = r rho and t = cos of the angle to x: the
     (radius, rho) rows, sorted by q, go in 256 KB blocks through one matmul
     each with a zonal_table, using the terms that certify 1e-10 at the block's
-    largest q.  Nodes double from level radial x 2 level angle (_doubled, 1e-6).
+    largest q.  Nodes double from level radial x 2 level angle (_doubled, 1e-6);
+    returns (values, m, gap) of the last pass, which had m radial nodes.
     """
     def one_pass(m):
         rho, W = rule(m)
@@ -485,89 +435,21 @@ def kernel_power_integral(n: int, alpha: float, p: float, radii, rule, level: in
 
 
 def kernel_norm_scan(alpha: float, p: float, beta: float, radii,
-                     n: int = 2, level: int = 64) -> ScanResult:
+                     n: int = 2, level: int = 64) -> series.ScanResult:
     """Weighted p-th power integrals of kernel sections along a radius list.
 
     The growth exponent is c = p(alpha + n) - (beta + n): decay like
-    (1-|x|^2)^{-c} for c > 0, log growth at c = 0, bounded for c < 0.
-    p = 2 is an exact series; other p start kernel_power_integral at level.
+    (1-|x|^2)^{-c} for c > 0, log growth at c = 0, bounded for c < 0.  p = 2
+    is series.kernel_norm_scan_p2; other p run kernel_power_integral from
+    level, and quality holds the node counts of the last pass and its gap.
     """
-    if beta <= -1.0:
-        raise ParameterError("weight exponent > -1", f"beta = {beta} <= -1")
-    radii = np.asarray(radii, dtype=np.float64)
-    # V_beta undoes the normalization of the weight-beta moments and rule
     if p == 2:
-        vals = _kernel_power_integral_p2(n, alpha, radii, lambda K: radial_moments(n, beta, K))
-    else:
-        vals = kernel_power_integral(n, alpha, p, radii,
-                                     lambda m: _radial_rule(n, beta, m), level)
-    vals = kc.v_alpha(n, beta) * vals
-    om = 1.0 - radii**2
-    c = p * (alpha + n) - (beta + n)
-    return ScanResult(radii, om, vals, fit_slope(om, vals),
-                      float(vals.max() / vals.min()), -c)
-
-
-def hyp2f1(a: float, b: float, c: float, z):
-    """Gauss's 2F1(a, b; c; z) for c > 0 and 0 <= z < 1, elementwise over z.
-
-    The power series, after Euler's transformation 2F1(a, b; c; z) =
-    (1-z)^(c-a-b) 2F1(c-a, c-b; c; z) when c < a + b.  With c >= a + b,
-    from k0 = max(0, -a, -b, ab - c) on every term ratio
-    (a+k)(b+k) z/((c+k)(k+1)) lies in (0, z], so the tail after term t_k is
-    at most t_k z/(1-z).  Terms go in blocks of 256, and each z stops once
-    that bound is below 2^-53 of its sum.  Raises TruncationError past
-    kc.DEFAULT_MAX_TERMS terms.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    if not (c > 0.0 and np.all((z >= 0.0) & (z < 1.0))):
-        raise ValueError("2F1 series needs c > 0 and 0 <= z < 1")
-    if c < a + b:
-        return (1.0 - z) ** (c - a - b) * hyp2f1(c - a, c - b, c, z)
-    zf = z.ravel()
-    total, term, bound = np.ones(zf.size), np.ones(zf.size), np.zeros(zf.size)
-    live, k0 = np.arange(zf.size), max(0.0, -a, -b, a * b - c)
-    for j in range(0, kc.DEFAULT_MAX_TERMS, 256):
-        k = np.arange(j, j + 256.0)
-        zl = zf[live]
-        T = term[live, None] * np.cumprod((a + k) * (b + k) / ((c + k) * (k + 1.0))
-                                          * zl[:, None], axis=1)
-        total[live] += T.sum(axis=1)
-        term[live] = T[:, -1]
-        bound[live] = np.abs(term[live]) * zl / ((1.0 - zl) * np.abs(total[live]))
-        if j + 256 > k0:
-            live = live[~(bound[live] <= 2.0 ** -53)]
-            if live.size == 0:
-                return total.reshape(z.shape)
-    raise TruncationError(float(bound[live].max()), kc.DEFAULT_MAX_TERMS)
-
-
-def _bracket_angular_mean(n: int, sigma: float, q):
-    """Sphere average of [x, y]^(-sigma) over directions at radius product q.
-
-    Equals 2F1(sigma/2, sigma/2 - nu; n/2; q^2) with nu = (n-2)/2, by the
-    Gegenbauer generating function; q may be an array.
-    """
-    nu = (n - 2) / 2.0
-    return hyp2f1(sigma / 2.0, sigma / 2.0 - nu, n / 2.0, np.square(q))
-
-
-def bracket_integral_scan(beta: float, s_exp: float, radii, n: int = 2) -> ScanResult:
-    """Weighted bracket-power integrals along a radius list.
-
-    Integrand (1-|y|^2)^beta / [x,y]^(beta+n+s_exp); growth exponent s_exp
-    (decay (1-|x|^2)^{-s_exp} for s_exp > 0, log at 0, bounded below 0).
-    Summed term by term against the radial moments (n/2)_k/(n/2+beta+1)_k,
-    the angular mean's series loses its (n/2)_k, so the integral is
-    V_beta 2F1(sigma/2, sigma/2 - nu; n/2 + beta + 1; |x|^2), sigma =
-    beta + n + s_exp: no quadrature, and c - a - b = -s_exp.
-    """
-    if beta <= -1.0:
-        raise ParameterError("weight exponent > -1", f"beta = {beta} <= -1")
+        return series.kernel_norm_scan_p2(alpha, beta, radii, n)
+    series.check_beta(beta)
     radii = np.asarray(radii, dtype=np.float64)
-    sigma, nu = beta + n + s_exp, (n - 2) / 2.0
-    vals = kc.v_alpha(n, beta) * hyp2f1(sigma / 2.0, sigma / 2.0 - nu,
-                                        n / 2.0 + beta + 1.0, radii**2)
-    om = 1.0 - radii**2
-    return ScanResult(radii, om, vals, fit_slope(om, vals),
-                      float(vals.max() / vals.min()), -s_exp)
+    vals, m, gap = kernel_power_integral(n, alpha, p, radii,
+                                         lambda m: _radial_rule(n, beta, m), level)
+    # V_beta undoes the normalization of the weight-beta rule
+    return series.scan_result(radii, kc.v_alpha(n, beta) * vals,
+                              -(p * (alpha + n) - (beta + n)),
+                              {"radial_nodes": m, "angle_nodes": 2 * m, "gap": gap})

@@ -7,8 +7,9 @@ identical arguments (including --seed) produce byte-identical output.
 
 Each subcommand imports only the layers it runs, inside its cmd_* function:
 a fresh process then compiles and loads no other layer, and start-up is most
-of a short command's time.  Layers are called through their module (ca.f,
-not a bare f), so a function replaced on the module is the one that runs.
+of a short command's time (kernel eval, bracket-scan and norm-scan --p 2
+run in series alone, without numpy).  Layers are called through their
+module (ca.f, not a bare f), so a function replaced there is the one run.
 
 Exit codes: 0 success, 1 failed verification/audit or a report that would
 print NaN or +-inf (nothing goes to stdout then), 2 invalid parameters or
@@ -94,8 +95,8 @@ def _json(obj):
 
 
 def cmd_kernel(args):
+    from . import series
     if args.kernel_cmd == "eval":
-        from . import series
         kv = series.kernel_eval(args.n, args.alpha, _floats(args.x), _floats(args.y),
                                 args.tol)
         _emit(args, _json({"value": kv.value,
@@ -103,19 +104,22 @@ def cmd_kernel(args):
                            "rounding_bound": kv.rounding_bound,
                            "terms_used": kv.terms_used}))
         return 0
-    from . import calculus as ca
     radii = _floats(args.radii)
-    if args.kernel_cmd == "norm-scan":
+    if args.kernel_cmd == "bracket-scan":
+        res = series.bracket_integral_scan(args.beta, args.s, radii, n=args.n)
+    elif args.p == 2:
+        res = series.kernel_norm_scan_p2(args.alpha, args.beta, radii, n=args.n)
+    else:
+        from . import calculus as ca
         res = ca.kernel_norm_scan(args.alpha, args.p, args.beta, radii,
                                   n=args.n, level=args.level)
-    else:
-        res = ca.bracket_integral_scan(args.beta, args.s, radii, n=args.n)
     lines = ["r,one_minus_r2,value"]
     for r, o, v in zip(res.radii, res.one_minus_r2, res.values):
         lines.append(f"{_fmt(r)},{_fmt(o)},{_fmt(v)}")
     lines.append(f"# slope={_fmt(res.slope)}"
                  f" predicted={_fmt(res.predicted_exponent)}"
-                 f" max_min_ratio={_fmt(res.max_min_ratio)}")
+                 f" max_min_ratio={_fmt(res.max_min_ratio)}"
+                 + "".join(f" {k}={v!r}" for k, v in res.quality.items()))
     _emit(args, "\n".join(lines))
     return 0
 

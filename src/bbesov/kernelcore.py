@@ -1,15 +1,9 @@
-"""Zonal harmonics and kernel series on arrays of points.
-
-The reproducing kernel of the weighted harmonic space with real weight
-parameter ``alpha`` on the unit ball of R^n is the series
-
-    R_alpha(x, y) = sum_k gamma_k(alpha) Z_k(x, y)
-
-over extended zonal harmonics Z_k.  The coefficients, the tail bound, the
-term planner and the scalar kernel value live in ``series``, which imports
-no numpy; this module sums the series over arrays.  Everything here is a
-pure function of immutable inputs; the coefficient caches only grow,
-guarded by the GIL (single-writer growth, concurrent reads safe).
+"""Zonal harmonics and the kernel series R_alpha(x, y) = sum_k gamma_k(alpha)
+Z_k(x, y) on arrays of points.  The coefficients, the tail bound, the term
+planner and the scalar kernel value live in ``series``, which imports no
+numpy.  Everything here is a pure function of immutable inputs; the
+coefficient caches only grow, guarded by the GIL (single-writer growth,
+concurrent reads safe).
 """
 
 import itertools
@@ -17,23 +11,12 @@ import math
 
 import numpy as np
 
+from . import series
 # the array layers look these up here (kc.plan_terms, kc.gamma_k, ...), and
 # perfbench/tracer.py wraps kc.plan_terms and counts calls of kc.tail_bound,
-# so gamma_k and tail_bound are imported for other modules
+# so gamma_k, tail_bound and v_alpha are imported for other modules
 from .series import (DEFAULT_MAX_TERMS, dim_harmonics, gamma_k, gamma_table,
-                     plan_terms, tail_bound)
-
-_hdim_cache: dict = {}
-
-
-def pochhammer(a: float, b: int) -> float:
-    """Rising factorial (a)_b as an exact product (b a nonnegative integer)."""
-    if b < 0 or b != int(b):
-        raise ValueError("pochhammer exponent must be a nonnegative integer")
-    out = 1.0
-    for j in range(int(b)):
-        out *= a + j
-    return out
+                     plan_terms, tail_bound, v_alpha)
 
 
 def _gamma_array(n: int, alpha: float, kmax: int) -> np.ndarray:
@@ -46,30 +29,6 @@ def _gamma_array(n: int, alpha: float, kmax: int) -> np.ndarray:
 def gamma_coeffs(n: int, alpha: float, kmax: int) -> np.ndarray:
     """Array [gamma_0, ..., gamma_kmax] (see series.gamma_table)."""
     return _gamma_array(n, alpha, kmax)[: kmax + 1]
-
-
-def hdim_coeffs(n: int, kmax: int) -> np.ndarray:
-    """Array [h_0, ..., h_kmax] of spherical-harmonic dimensions (floats)."""
-    key = n
-    arr = _hdim_cache.get(key)
-    if arr is None or arr.shape[0] <= kmax:
-        size = max(kmax + 1, 64)
-        arr = np.array([dim_harmonics(n, k) for k in range(size)], dtype=np.float64)
-        _hdim_cache[key] = arr
-    return arr[: kmax + 1]
-
-
-def v_alpha(n: int, alpha: float) -> float:
-    """Normalizing constant of the weighted volume measure.
-
-    For alpha > -1 it makes the weighted measure a probability measure:
-    V_alpha = Gamma(n/2+1) Gamma(alpha+1) / Gamma(n/2+alpha+1).
-    For alpha <= -1 the convention V_alpha = 1 is used.
-    """
-    if alpha <= -1:
-        return 1.0
-    half = n / 2.0
-    return math.gamma(half + 1.0) * math.gamma(alpha + 1.0) / math.gamma(half + alpha + 1.0)
 
 
 def zonal_terms(nu: float, w, a2):
@@ -152,9 +111,4 @@ def kernel_diag(n: int, alpha: float, r2: np.ndarray, tol: float = 1e-12,
     if qmax >= 1.0:
         raise ValueError("points must lie in the open unit ball")
     K = plan_terms(n, alpha, qmax, tol, max_terms) if qmax > 0 else 1
-    g = gamma_coeffs(n, alpha, K - 1) * hdim_coeffs(n, K - 1)
-    # Horner evaluation of the power series in r2
-    out = np.zeros_like(r2)
-    for c in g[::-1]:
-        out = out * r2 + c
-    return out
+    return series.horner(series.diag_coefficients(n, alpha, K), r2)

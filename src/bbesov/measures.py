@@ -11,6 +11,7 @@ radial_rule().
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,6 +19,7 @@ import numpy as np
 from . import calculus as ca
 from . import geometry as ge
 from . import kernelcore as kc
+from . import series
 from .errors import ParameterError
 
 
@@ -65,7 +67,7 @@ class Density:
         """
         if self.kind == "power-weight":
             c = self._weight(w)
-            return self.scale * kc.v_alpha(n, c) * ca.radial_moments(n, c, K)
+            return self.scale * kc.v_alpha(n, c) * np.array(series.radial_moments(n, c, K))
         r, W = self.radial_rule(n, w, level)
         return np.power.outer(r * r, np.arange(K + 1)).T @ W
 
@@ -242,16 +244,21 @@ def berezin2(mu: Measure, Phi: float, alpha: float, x,
     kv = kc.kernel_eval_batch(mu.n, Phi, X, Y, tol)
     total = (kv**2) @ (mu.weights * (1.0 - np.einsum("ij,ij->i", Y, Y)) ** (Phi - alpha))
     if mu.density is not None:
-        total += ca._kernel_power_integral_p2(
-            mu.n, Phi, np.sqrt(r2),
-            lambda K: mu.density.moments(mu.n, Phi - alpha, K, level))
+        r = np.sqrt(r2)
+        rmax = float(r.max(initial=0.0))
+        c, _ = series.p2_coefficients(
+            mu.n, Phi, rmax * rmax, lambda K: mu.density.moments(mu.n, Phi - alpha, K, level))
+        total += series.horner(c, r * r)
     out = total / norm
     return float(out[0]) if x.ndim == 1 else out
 
 
 def berezin_type(mu: Measure, alpha: float, s_exp: float, x,
                  level: int = 256) -> float:
-    """Bracket-power transform (1-|x|^2)^s int dmu(y)/[x,y]^(alpha+n+s)."""
+    """Bracket-power transform (1-|x|^2)^s int dmu(y)/[x,y]^(alpha+n+s); the
+    density term is Euler's transformation of the sphere mean at each radial
+    node rho_i: one bracket_series at 2n - 2 - sigma on the power sums of
+    W_i (1 - |x|^2 rho_i^2)^(n-1-sigma)."""
     if alpha <= -1.0:
         raise ParameterError("alpha > -1", f"alpha = {alpha}")
     if s_exp <= 0.0:
@@ -263,7 +270,16 @@ def berezin_type(mu: Measure, alpha: float, s_exp: float, x,
     total = float(np.sum(mu.weights * ge.bracket_batch(x, mu.points) ** (-sigma)))
     if mu.density is not None:
         rho, W = mu.density.radial_rule(n, 0.0, level)
-        total += float(np.dot(W, ca._bracket_angular_mean(n, sigma, r * rho)))
+        z, x2, M = r * r, rho * rho, array("d")
+        W = W * (1.0 - z * x2) ** (n - 1.0 - sigma)
+
+        def moments(K):  # sum_i W_i x2_i^k, k <= K: blocks of 256 running products
+            while len(M) <= K:
+                A = np.empty((x2.size, min(256, K + 1 - len(M))))
+                A[:, 0], A[:, 1:] = W * x2 ** len(M), x2[:, None]
+                M.fromlist(np.cumprod(A, axis=1).sum(axis=0).tolist())
+            return M
+        total += series.bracket_series(n, 2.0 * n - 2.0 - sigma, z, moments)[0]
     return (1.0 - r**2) ** s_exp * total
 
 
@@ -379,7 +395,7 @@ def vanishing_profile(mu: Measure, lam: float, alpha: float,
     mids = 0.5 * (shells[:-1] + shells[1:])
     good = maxima > 0
     if good.sum() >= 3:
-        slope = ca.fit_slope(1.0 - mids[good] ** 2, maxima[good])
+        slope = series.fit_slope(1.0 - mids[good] ** 2, maxima[good])
         slope = -slope  # decay rate in (1 - r^2)
     return VanishingProfile(float(lam), float(alpha), shells, maxima,
                             vanishing, slope, note)

@@ -22,6 +22,7 @@ from . import calculus as ca
 from . import geometry as ge
 from . import kernelcore as kc
 from . import measures as me
+from . import series
 from .errors import ParameterError
 
 
@@ -62,7 +63,7 @@ def _norm_sq(spec: BasisSpec, k: int) -> float:
     n = spec.n
     ratio = kc.gamma_k(n, spec.Phi, k) / kc.gamma_k(n, spec.s, k)
     return (ratio**2 * kc.v_alpha(n, spec.Phi) / kc.v_alpha(n, spec.alpha)
-            * ca.radial_moment(n, spec.Phi, k))
+            * series.radial_moments(n, spec.Phi, k)[k])
 
 
 @functools.lru_cache(maxsize=None)
@@ -202,7 +203,7 @@ def _section_operator(mu: me.Measure, spec: BasisSpec, t: float,
         # order t with kernel R_s: columns rescaled by D = dts_apply(s, t)
         gam_w, col, exponent = gam_s, gam_st / gam_s, spec.s - spec.alpha + t
     pref = kc.v_alpha(n, spec.alpha) / kc.v_alpha(n, spec.s + t)
-    moments = np.array([ca.radial_moment(n, spec.Phi, k) for k in range(kmax + 1)])
+    moments = np.array(series.radial_moments(n, spec.Phi, kmax))
     sec = (kc.v_alpha(n, spec.Phi) / kc.v_alpha(n, spec.alpha)
            * (gam_su / gam_s) ** 2 * moments * gam_w)
     deg = np.array(degrees)
@@ -280,10 +281,10 @@ def radial_oracle(mu: me.Measure, spec: BasisSpec, level: int = 64) -> np.ndarra
         raise ValueError("radial oracle requires an atom-free measure with a density")
     n = spec.n
     M = mu.density.moments(n, 2.0 * spec.u, spec.max_degree, level)
+    m = series.radial_moments(n, spec.Phi, spec.max_degree)
     out = []
     for k in range(spec.max_degree + 1):
-        val = (M[k] * kc.v_alpha(n, spec.alpha)
-               / (kc.v_alpha(n, spec.Phi) * ca.radial_moment(n, spec.Phi, k)))
+        val = M[k] * kc.v_alpha(n, spec.alpha) / (kc.v_alpha(n, spec.Phi) * m[k])
         out.extend([val] * kc.dim_harmonics(n, k))
     return np.array(out)
 

@@ -299,8 +299,8 @@ def suite_carleson():
             if np.all(tail < 1e-12):
                 finite = True          # compact metric support
             else:
-                sigma = ca.fit_slope(1.0 - radii[-5:] ** 2,
-                                     np.maximum(prof[-5:], 1e-300))
+                sigma = series.fit_slope(1.0 - radii[-5:] ** 2,
+                                         np.maximum(prof[-5:], 1e-300))
                 finite = bool(sigma > n - 1 + 0.25)
             cls.append(finite)
         detail[name] = cls

@@ -1,8 +1,10 @@
-"""Test helpers for the calculus layer, reached by no command or check.
+"""Test helpers, reached by no command or check.
 
 inner_product_u and project compute by quadrature what the package gets in
 closed form (inner_product_u_closed, and a polynomial reproducing itself),
 so they serve the tests as oracles; constant_poly builds test input.
+p2_coefficients_numpy is a frozen copy of the numpy construction that
+series.p2_coefficients replaced.
 """
 
 import numpy as np
@@ -51,3 +53,14 @@ def project(Phi: float, f: HarmonicPolynomial, x,
     out = np.array([np.dot(rule.weights, kc.kernel_eval_batch(f.n, Phi, xi, rule.points, tol)
                            * fv) for xi in np.atleast_2d(x)])
     return float(out[0]) if x.ndim == 1 else out
+
+
+def p2_coefficients_numpy(n: int, alpha: float, q: float, w: float) -> np.ndarray:
+    """gamma_k^2 h_k M_k, k = 0..K, on the weight-w moments M_k, built as the
+    numpy p = 2 series built them: gamma and h arrays, and the moments as a
+    cumprod of their ratios (K as in series.p2_coefficients)."""
+    K = kc.plan_terms(n, alpha, q, 1e-14) + 16
+    ks = np.arange(K)
+    moments = np.concatenate(([1.0], np.cumprod((n / 2.0 + ks) / (n / 2.0 + w + 1.0 + ks))))
+    h = np.array([kc.dim_harmonics(n, k) for k in range(K + 1)], dtype=np.float64)
+    return kc.gamma_coeffs(n, alpha, K) ** 2 * h * moments

@@ -105,20 +105,20 @@ def test_04_scan_asymptotics_three_regimes():
     radii = list(np.sqrt(1.0 - np.geomspace(0.1, 0.002, 6)))
     far = list(np.sqrt(1.0 - np.geomspace(0.05, 0.001, 6)))
     # growth regime: fitted slope within 5% of the predicted exponent
-    g1 = ca.kernel_norm_scan(1.0, 2.0, 0.0, radii)          # c = 4
+    g1 = series.kernel_norm_scan_p2(1.0, 0.0, radii)        # c = 4
     assert g1.slope == pytest.approx(g1.predicted_exponent, rel=0.05)
-    g2 = ca.bracket_integral_scan(0.0, 1.0, radii)          # exponent 1
+    g2 = series.bracket_integral_scan(0.0, 1.0, radii)      # exponent 1
     assert g2.slope == pytest.approx(g2.predicted_exponent, rel=0.05)
     # logarithmic regime: no power growth over two decades
-    l1 = ca.kernel_norm_scan(0.0, 2.0, 2.0, far)            # c = 0
+    l1 = series.kernel_norm_scan_p2(0.0, 2.0, far)          # c = 0
     assert l1.predicted_exponent == 0.0
     assert l1.max_min_ratio < 10.0
-    l2 = ca.bracket_integral_scan(0.0, 0.0, far)
+    l2 = series.bracket_integral_scan(0.0, 0.0, far)
     assert l2.max_min_ratio < 10.0
     # bounded regime
     b1 = ca.kernel_norm_scan(0.0, 1.0, 1.0, radii)          # c = -1
     assert b1.max_min_ratio < 10.0
-    b2 = ca.bracket_integral_scan(0.0, -0.5, radii)
+    b2 = series.bracket_integral_scan(0.0, -0.5, radii)
     assert b2.max_min_ratio < 10.0
 
 
@@ -208,7 +208,7 @@ def _carleson_transition(lat, alpha, lam, cs):
         rep = me.carleson_statistic(mu, lam, alpha, lat, level=24)
         r, t = rep.per_point[:, 0], rep.per_point[:, 1]
         sel = r > 0.9
-        slope = -ca.fit_slope(1.0 - r[sel] ** 2, t[sel])
+        slope = -series.fit_slope(1.0 - r[sel] ** 2, t[sel])
         if slope <= 0.05:
             return c
     return np.inf

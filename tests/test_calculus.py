@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bbesov import calculus as ca
 from bbesov import kernelcore as kc
+from bbesov import series
 from bbesov.errors import ParameterError, TruncationError
 
 from oracles import constant_poly, inner_product_u, project
@@ -180,7 +181,7 @@ def test_quadrature_moments_exact():
         rr2 = np.einsum("ij,ij->i", rule.points, rule.points)
         for k in (1, 3, 10):
             got = float(np.dot(rule.weights, rr2**k))
-            assert got == pytest.approx(ca.radial_moment(n, 1.5, k), rel=1e-12)
+            assert got == pytest.approx(series.radial_moments(n, 1.5, k)[k], rel=1e-12)
 
 
 def test_quadrature_rejects_bad_weight():
@@ -254,12 +255,18 @@ def test_projection_flag():
 def test_fit_slope_recovers_powerlaw():
     o = np.geomspace(0.01, 0.5, 12)
     vals = 3.0 * o ** (-1.7)
-    assert ca.fit_slope(o, vals) == pytest.approx(-1.7, abs=1e-12)
+    assert series.fit_slope(o, vals) == pytest.approx(-1.7, abs=1e-12)
+    # one distinct x: numpy's minimum-norm least-squares slope
+    A = np.log([[0.19, 1.0]] * 2)
+    A[:, 1] = 1.0
+    want = np.linalg.lstsq(A, np.log([6.1, 6.1]), rcond=None)[0][0]
+    assert series.fit_slope([0.19, 0.19], [6.1, 6.1]) == pytest.approx(want, rel=1e-14)
+    assert math.isnan(series.fit_slope([0.5, 0.2], [1.0, -1.0]))
 
 
 def test_kernel_norm_scan_regimes_light():
     radii = [0.9, 0.95, 0.98, 0.99]
-    grow = ca.kernel_norm_scan(1.0, 2.0, 0.0, radii)     # c = 4 > 0
+    grow = series.kernel_norm_scan_p2(1.0, 0.0, radii)   # c = 4 > 0
     assert grow.predicted_exponent == pytest.approx(-4.0)
     assert grow.slope == pytest.approx(-4.0, rel=0.1)
     flat = ca.kernel_norm_scan(0.0, 1.0, 1.0, radii)     # c = -1 < 0: bounded
@@ -311,7 +318,7 @@ def test_kernel_power_integral_closed_form_oracle(n, alpha):
     want = _grid_power_integrals(n, alpha, radii, (1.0, 3.0))
     for i, p in enumerate((1.0, 3.0)):
         got = ca.kernel_power_integral(n, alpha, p, radii,
-                                       lambda m: ca._radial_rule(n, 0.0, m), 64)
+                                       lambda m: ca._radial_rule(n, 0.0, m), 64)[0]
         np.testing.assert_allclose(got, want[:, i], rtol=1e-6)
 
 
@@ -319,31 +326,37 @@ def test_kernel_power_integral_closed_form_oracle(n, alpha):
 def test_kernel_power_integral_p2_matches_series(n):
     radii = np.array([0.0, 0.5, 0.9, 0.98])
     got = ca.kernel_power_integral(n, 0.5, 2.0, radii,
-                                   lambda m: ca._radial_rule(n, 0.3, m), 16)
-    want = ca._kernel_power_integral_p2(n, 0.5, radii, lambda K: ca.radial_moments(n, 0.3, K))
-    np.testing.assert_allclose(got, want, rtol=1e-10)
+                                   lambda m: ca._radial_rule(n, 0.3, m), 16)[0]
+    c, _ = series.p2_coefficients(n, 0.5, 0.98**2, lambda K: series.radial_moments(n, 0.3, K))
+    np.testing.assert_allclose(got, series.horner(c, radii * radii), rtol=1e-10)
 
 
 @pytest.mark.parametrize("n, alpha, w", [(2, 0.5, 0.3), (3, -0.5, 0.0), (4, 1.5, 2.0)])
 def test_kernel_power_integral_p2_matches_mpmath_terms(n, alpha, w):
     # sum_k gamma_k^2 h_k r^(2k) M_k term by term at 40 digits, from the
-    # closed-form ratios of gamma_k (alpha > -(1 + n/2)) and of the moments
+    # closed-form ratios of gamma_k (alpha > -(1 + n/2)) and of the moments;
+    # the terms past the last one summed stay within the certified tail
     mpmath = pytest.importorskip("mpmath")
     radii = np.array([0.0, 0.3, 0.9, 0.99])
-    got = ca._kernel_power_integral_p2(n, alpha, radii, lambda K: ca.radial_moments(n, w, K))
+    c, tail = series.p2_coefficients(n, alpha, 0.99**2, lambda K: series.radial_moments(n, w, K))
+    got = series.horner(c, radii * radii)
     with mpmath.workdps(40):
         h = mpmath.mpf(n) / 2
         for r, value in zip(radii, got):
             q, term, total, k = mpmath.mpf(float(r)) ** 2, mpmath.mpf(1), mpmath.mpf(1), 0
+            rest = mpmath.mpf(0)  # the terms of degree k >= len(c)
             while q and term > total * mpmath.mpf(10) ** -30:
                 g = (1 + h + alpha + k) / (h + k)
                 term *= (g * g * kc.dim_harmonics(n, k + 1) / kc.dim_harmonics(n, k)
                          * q * (h + k) / (h + w + 1 + k))
                 total += term
                 k += 1
+                if k >= len(c):
+                    rest += term
             assert value == pytest.approx(float(total), rel=1e-13)
-    assert ca._kernel_power_integral_p2(n, alpha, 0.9, lambda K: ca.radial_moments(n, w, K)) \
-        == pytest.approx(got[2], rel=1e-15)
+        assert rest <= tail
+    c9, _ = series.p2_coefficients(n, alpha, 0.9**2, lambda K: series.radial_moments(n, w, K))
+    assert series.horner(c9, 0.9 * 0.9) == pytest.approx(got[2], rel=1e-15)
 
 
 def test_kernel_norm_scan_n4_level_independent():
@@ -368,9 +381,9 @@ def test_zonal_table_matches_zonal_series(n):
 
 def test_bracket_scan_regimes_light():
     radii = [0.9, 0.95, 0.98, 0.99]
-    grow = ca.bracket_integral_scan(0.0, 1.0, radii)
+    grow = series.bracket_integral_scan(0.0, 1.0, radii)
     assert grow.slope == pytest.approx(-1.0, rel=0.1)
-    flat = ca.bracket_integral_scan(0.0, -0.5, radii)
+    flat = series.bracket_integral_scan(0.0, -0.5, radii)
     assert flat.max_min_ratio < 10.0
 
 
@@ -379,7 +392,8 @@ def test_bracket_angular_mean_n3_mpmath(sigma):
     # sphere average of [x, y]^(-sigma) in R^n: t = cos(angle) has density
     # proportional to (1 - t^2)^((n-3)/2) on [-1, 1] (uniform for n = 3), so
     # the mean is int (1 - 2qt + q^2)^(-sigma/2) (1 - t^2)^((n-3)/2) dt over
-    # int (1 - t^2)^((n-3)/2) dt
+    # int (1 - t^2)^((n-3)/2) dt.  It is the bracket series for a measure on
+    # the unit sphere, whose moments are all 1.
     import mpmath
     with mpmath.workdps(30):
         for n in (3, 4):
@@ -390,13 +404,13 @@ def test_bracket_angular_mean_n3_mpmath(sigma):
                 want = mpmath.quad(
                     lambda t: (1 - 2 * qm * t + qm**2) ** (-sigma / 2) * (1 - t**2) ** e,
                     [-1, 0, 1]) / norm
-                got = ca._bracket_angular_mean(n, sigma, q)
+                got = series.bracket_series(n, sigma, q * q, lambda K: [1.0] * (K + 1))[0]
                 assert got == pytest.approx(float(want), rel=1e-12)
 
 
 def test_bracket_scan_n3_positive():
-    res = ca.bracket_integral_scan(0.0, 1.0, [0.9, 0.95, 0.98], n=3)
-    assert np.all(res.values > 0.0)
+    res = series.bracket_integral_scan(0.0, 1.0, [0.9, 0.95, 0.98], n=3)
+    assert min(res.values) > 0.0
     assert res.slope == pytest.approx(-1.0, rel=0.1)
 
 
@@ -413,7 +427,8 @@ def test_dts_scaling_property(s, t, k):
 
 
 # --------------------------------------------------------------------------
-# Gauss-Jacobi rules and 2F1 in numpy, against closed forms, scipy and mpmath
+# Gauss-Jacobi rules in numpy, and the 2F1 series of series.bracket_series,
+# against closed forms, scipy and mpmath
 
 # two ulps at 1 plus a margin: the references round too (scipy's node is
 # 4.4e-16 from the true root at (m, a, b) = (16, 0, -0.9); ours is 1.1e-16)
@@ -484,54 +499,108 @@ def test_gauss_jacobi_refuses_unconverged_rule(monkeypatch):
         ca.gauss_jacobi(8, 0.0, 0.0)
 
 
+def _unit_moments(K):
+    """The moments of a measure on the unit sphere: the bracket series is
+    then the sphere average 2F1(sigma/2, sigma/2 - nu; n/2; z) itself."""
+    return [1.0] * (K + 1)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_hyp2f1_mpmath(n):
-    # the bracket-scan parameters a = sigma/2, b = sigma/2 - nu, c = n/2 + beta + 1,
-    # c - a - b = -s, and the angular mean's c = n/2
+    # the bracket series on the weight-beta moments (n/2)_k/(n/2 + beta + 1)_k
+    # is 2F1(sigma/2, sigma/2 - nu; n/2 + beta + 1; z), sigma = beta + n + s,
+    # whose c - a - b = -s; on unit moments it is the angular mean, c = n/2.
+    # beta = -0.5, s = -2.5 gives b < 0 for every n (and a < 0 for n = 2).
+    # The reference takes the same float z = r*r: near z = 1 the rounding of
+    # r^2 alone moves the value by about 3e-13 at r = 0.9995.
     import mpmath
-    z = np.array([0.0, 0.1, 0.5, 0.9, 0.99, 0.999])
     nu = (n - 2) / 2.0
-    for gap in (0.0, -1.0, -2.0, -0.5):
-        for beta in (-0.5, 0.0, 0.5):
-            sigma = beta + n - gap
-            for c in (n / 2.0 + beta + 1.0, n / 2.0):
-                a, b = sigma / 2.0, sigma / 2.0 - nu
-                got = ca.hyp2f1(a, b, c, z)
-                with mpmath.workdps(30):
-                    want = [float(mpmath.hyp2f1(a, b, c, zz)) for zz in z]
-                np.testing.assert_allclose(got, want, rtol=1e-13)
+    for beta in (-0.5, 0.0, 2.0):
+        for s_exp in (-2.5, -0.5, 0.0, 1.0, 2.5):
+            sigma = beta + n + s_exp
+            a, b = sigma / 2.0, sigma / 2.0 - nu
+            for c, moments in ((n / 2.0 + beta + 1.0, lambda K: series.radial_moments(n, beta, K)),
+                               (n / 2.0, _unit_moments)):
+                for r in (0.0, 0.1, 0.5, 0.9, 0.95, 0.99, 0.995, 0.9995):
+                    got = series.bracket_series(n, sigma, r * r, moments)[0]
+                    with mpmath.workdps(30):
+                        want = float(mpmath.hyp2f1(a, b, c, mpmath.mpf(r * r)))
+                    assert got == pytest.approx(want, rel=1e-13), (beta, s_exp, c, r)
+
+
+def test_hyp2f1_euler_transformation():
+    # for s > 0 the bracket scan sums Euler's transformation, the series at
+    # -s times (1 - r^2)^(-s); at 1 - r^2 = 4e-5 the series as given would
+    # need far more than DEFAULT_MAX_TERMS terms, and is refused
+    import mpmath
+    rim = math.sqrt(1.0 - 4e-5)
+    for n, beta, s_exp, radii in ((2, 0.0, 2.5, [0.5, 0.99, 0.9995, rim]),
+                                  (3, 2.0, 1.0, [0.5, 0.99, 0.9995]),
+                                  (4, -0.5, 0.5, [0.5, 0.99, 0.9995])):
+        sigma = beta + n + s_exp
+        got = series.bracket_integral_scan(beta, s_exp, radii, n=n).values
+        for r, v in zip(radii, got):
+            with mpmath.workdps(30):
+                want = series.v_alpha(n, beta) * mpmath.hyp2f1(
+                    sigma / 2, sigma / 2 - (n - 2) / 2, n / 2 + beta + 1, mpmath.mpf(r * r))
+            assert v == pytest.approx(float(want), rel=1e-13), (n, beta, s_exp, r)
+    with pytest.raises(TruncationError):
+        series.bracket_series(2, 4.5, rim * rim, lambda K: series.radial_moments(2, 0.0, K))
 
 
 def test_hyp2f1_refuses():
     with pytest.raises(TruncationError):
-        ca.hyp2f1(1.0, 1.0, 2.0, np.array([0.5, 1.0 - 1e-7]))
-    with pytest.raises(ValueError):
-        ca.hyp2f1(1.0, 1.0, 2.0, 1.0)
-    assert ca.hyp2f1(-2.0, 1.0, 1.0, np.array([0.5])) == pytest.approx([0.25])
+        series.bracket_series(2, 4.0, 1.0 - 1e-7, _unit_moments)
+    for z in (1.0, -0.1):
+        with pytest.raises(ValueError):
+            series.bracket_series(2, 4.0, z, _unit_moments)
+    # a = b = -2: the polynomial 1 + 4z + z^2, summed to its end with no tail
+    assert series.bracket_series(2, -4.0, 0.5, _unit_moments) == (3.25, 3, 0.0)
 
 
-def test_hyp2f1_euler_transformation(monkeypatch):
-    # c < a + b: after Euler's transformation the series is 1 + z and ends at
-    # once; the series as given would need thousands of terms at z = 0.99
-    monkeypatch.setattr(kc, "DEFAULT_MAX_TERMS", 256)
-    z = np.array([0.5, 0.9, 0.99])
-    np.testing.assert_allclose(ca.hyp2f1(2.0, 2.0, 1.0, z),
-                               (1.0 + z) / (1.0 - z) ** 3, rtol=1e-14, atol=0)
-
-
-def test_hyp2f1_k0_gate(monkeypatch):
-    # a = b = 20, c = 40: every term ratio exceeds z until k0 = ab - c = 360,
-    # so t_k z/(1 - z) bounds no tail before it.  The terms at z = 0.5 are
-    # far below 2^-53 of the sum by k = 256, and a series capped there must
-    # still refuse instead of certifying that bound.
+def _abs_terms(a, b, c, z, moments, K):
+    """sum_{k >= K} |t_k M_k z^k| at 50 digits, t_k the 2F1(a, b; c) coefficients."""
     import mpmath
-    z = np.array([0.3, 0.5])
-    with mpmath.workdps(30):
-        want = [float(mpmath.hyp2f1(20, 20, 40, zz)) for zz in z]
-    np.testing.assert_allclose(ca.hyp2f1(20.0, 20.0, 40.0, z), want, rtol=1e-13)
-    monkeypatch.setattr(kc, "DEFAULT_MAX_TERMS", 256)
-    with pytest.raises(TruncationError):
-        ca.hyp2f1(20.0, 20.0, 40.0, z)
+    with mpmath.workdps(50):
+        M = moments(K + 20000)
+        t, z = mpmath.mpf(1), mpmath.mpf(z)
+        total = mpmath.mpf(0)
+        for k in range(K + 20000):
+            if k >= K:
+                total += abs(t) * M[k] * z**k
+                if abs(t) * z**k < mpmath.mpf(10) ** -40 * total:
+                    return total
+            t *= (a + k) * (b + k) / ((c + k) * (k + 1))
+    raise AssertionError("the terms did not decay")
+
+
+def test_hyp2f1_k0_gate():
+    # the certified tail |t_K| M_K z^K/(1 - U_K z), U_K = 1 + max(0, a+b-c-1)/K
+    # + max(0, ab-c)/K^2, holds for k >= K only past the gate
+    # K >= max(0, -a, -b), where the term ratio is no longer negative.
+    # (n, sigma, z, moments): ratios above 1 for every k (a + b - c - 1 > 0,
+    # from both the 1/K and the 1/K^2 term), so the tail must be more than
+    # |t_K| M_K z^K/(1 - z); and b = -4.5 with |t_2/t_1| > 1 = U_1 at a z so
+    # small that K = 1 would pass the 2^-53 test, so the sum must go past
+    # the gate.  The float tail carries the rounding of t_K and M_K (about K
+    # ulps), a far smaller margin than U_K or the gate make.
+    import mpmath
+    cases = [(2, 2.5 + 2.0, 0.98, lambda K: series.radial_moments(2, 0.0, K)),
+             (2, 40.0, 0.3, _unit_moments),
+             (31, 20.0, 1e-17, _unit_moments)]
+    for n, sigma, z, moments in cases:
+        a, b, c = sigma / 2.0, sigma / 2.0 - (n - 2) / 2.0, n / 2.0
+        value, K, tail = series.bracket_series(n, sigma, z, moments)
+        assert K >= max(1.0, -a, -b)
+        assert tail >= _abs_terms(a, b, c, z, moments, K) * (1 - 1e-12)
+        with mpmath.workdps(50):
+            tK = mpmath.rf(a, K) * mpmath.rf(b, K) / (mpmath.rf(c, K) * mpmath.factorial(K))
+            U = 1 + max(0, a + b - c - 1) / mpmath.mpf(K) + max(0, a * b - c) / mpmath.mpf(K) ** 2
+            want = abs(tK) * moments(K)[K] * mpmath.mpf(z) ** K / (1 - U * z)
+            assert tail == pytest.approx(float(want), rel=1e-10)
+            exact = mpmath.hyp2f1(a, b, c, z) if moments is _unit_moments else None
+        if exact is not None:
+            assert abs(value - exact) <= tail + 1e-15 * abs(value)
 
 
 def _bracket_scan_by_quadrature(beta, s_exp, radii, n):
@@ -559,7 +628,7 @@ def _bracket_scan_by_quadrature(beta, s_exp, radii, n):
                                           (2, 0.0, -0.5), (3, 0.5, 1.0), (4, -0.5, 0.7)])
 def test_bracket_scan_closed_form_matches_quadrature(n, beta, s_exp):
     radii = [0.0, 0.5, 0.9, 0.95, 0.98]
-    got = ca.bracket_integral_scan(beta, s_exp, radii, n=n)
+    got = series.bracket_integral_scan(beta, s_exp, radii, n=n)
     want = _bracket_scan_by_quadrature(beta, s_exp, radii, n)
     np.testing.assert_allclose(got.values, want, rtol=1e-10)
     assert got.values[0] == pytest.approx(kc.v_alpha(n, beta), rel=1e-15)

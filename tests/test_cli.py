@@ -77,18 +77,58 @@ def test_bracket_scan_runs(capsys):
     assert "# slope=" in out
 
 
+_SERIES_QUALITY = {"terms": int, "tail_bound": float}
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["bracket-scan", "--n", "3", "--beta", "0", "--s", "1"], _SERIES_QUALITY),
+    (["norm-scan", "--p", "2", "--alpha", "1", "--beta", "0"], _SERIES_QUALITY),
+    (["norm-scan", "--p", "3", "--alpha", "0.5", "--beta", "0", "--level", "8"],
+     {"radial_nodes": int, "angle_nodes": int, "gap": float}),
+], ids=["bracket-scan", "norm-scan-p2", "norm-scan-p3"])
+def test_scan_footer_prints_quality(capsys, argv, keys):
+    # the series scans print their terms and certified tail, the doubling
+    # scans the node counts of their last pass and its gap to the pass before
+    code, out, _ = run(capsys, ["kernel", *argv, "--radii", "0.9,0.95,0.98"])
+    assert code == 0
+    footer = dict(f.split("=") for f in out.splitlines()[-1][2:].split())
+    assert list(footer) == ["slope", "predicted", "max_min_ratio", *keys]
+    for key, kind in keys.items():
+        assert isinstance(kind(footer[key]), kind) and float(footer[key]) >= 0.0
+    if "gap" in keys:
+        # doubled from 8 radial nodes until the gap is 1e-6 or the count 16 x 8
+        # (this run ends at that cap, with a gap of about 1.8e-6)
+        m = int(footer["radial_nodes"])
+        assert m in (16, 32, 64, 128) and int(footer["angle_nodes"]) == 2 * m
+        assert float(footer["gap"]) <= 1e-6 or m == 128
+    else:
+        assert 0.0 < float(footer["tail_bound"]) <= 1e-9
+
+
+@pytest.mark.parametrize("argv", [
+    ["bracket-scan", "--beta", "0", "--s", "1"],
+    ["norm-scan", "--p", "2", "--alpha", "1", "--beta", "0"],
+])
+def test_scan_refuses_radius_near_rim(capsys, argv):
+    # 1 - r^2 = 2e-4 needs more than 100,000 terms of either series
+    code, out, err = run(capsys, ["kernel", *argv, "--radii", "0.9,0.9999"])
+    assert (code, out) == (2, "")
+    assert err.startswith("truncation error:")
+
+
 # seed-101 point pairs of the benchmark's kernel-scans workload, and the
 # stdout each gave when pinned; a change meant to move this output updates
-# the pin and says so
+# the pin and says so (the truncation bounds were re-pinned when they came
+# to be planned at a q rounded up from the exact |x||y| and rounded up)
 _EVAL_PINS = [
     ("0.8717052783674617,-0.3070540055739413", "0.5078055899037621,-0.8162292587709897",
-     "2.2204460492503155e-16", 307, "9.851159584742602e-13", "-3.6459866544257147"),
+     "2.2204460492503155e-16", 307, "9.851159584745706e-13", "-3.6459866544257147"),
     ("-0.24944016355726734,-0.8733995219576552", "0.3471228838074293,-0.8888358337351667",
-     "2.220446049250314e-16", 252, "8.901156341607541e-13", "-3.5934762827530307"),
+     "2.220446049250314e-16", 252, "8.90115634160985e-13", "-3.5934762827530307"),
     ("0.6075686877349812,0.7373989468407072", "0.24112142628057176,-0.8800852480834925",
-     "5.551115123125796e-17", 263, "9.48537045105587e-13", "-0.5422985648032831"),
+     "5.551115123125796e-17", 263, "9.485370451058112e-13", "-0.5422985648032831"),
     ("0.7425270701987614,-0.5952639490691324", "0.7159449599300495,-0.5955296751787182",
-     "1.4210854715202004e-14", 301, "9.177071942083026e-13", "144.321534707686"),
+     "1.4210854715202004e-14", 301, "9.177071942085506e-13", "144.321534707686"),
 ]
 
 
@@ -467,16 +507,18 @@ _SERIES_LOADS = _EVAL_LOADS | {"kernelcore"}
     (None, {"errors"}, False),
     (["kernel", "eval", "--alpha", "0.3", "--x", "0.1,0", "--y", "0,0.2"], _EVAL_LOADS, False),
     (["kernel", "norm-scan", "--alpha", "1", "--p", "2", "--beta", "0",
-      "--radii", "0.9,0.95"], _SERIES_LOADS | {"calculus"}, True),
+      "--radii", "0.9,0.95"], _EVAL_LOADS, False),
+    (["kernel", "norm-scan", "--alpha", "1", "--p", "3", "--beta", "0",
+      "--radii", "0.9,0.95", "--level", "8"], _SERIES_LOADS | {"calculus"}, True),
     (["kernel", "bracket-scan", "--beta", "0", "--s", "1", "--radii", "0.9,0.95"],
-     _SERIES_LOADS | {"calculus"}, True),
+     _EVAL_LOADS, False),
     (["lattice", "--delta", "0.5", "--horizon", "0.6"],
      _SERIES_LOADS | {"calculus", "geometry"}, True),
-], ids=["import-only", "eval", "norm-scan", "bracket-scan", "lattice"])
+], ids=["import-only", "eval", "norm-scan", "norm-scan-p3", "bracket-scan", "lattice"])
 def test_command_loads_only_its_layers(argv, loaded, numpy):
     # a fresh interpreter, so no other test's imports count; import bbesov.cli
-    # alone (argv None) loads no layer, and neither it nor `kernel eval`
-    # imports numpy
+    # alone (argv None) loads no layer, and neither it nor `kernel eval`,
+    # `kernel bracket-scan` and `kernel norm-scan --p 2` imports numpy
     got = _child([argv] if argv else [])
     assert [code for code, _ in got["runs"]] == ([0] if argv else [])
     assert set(got["bbesov"]) == loaded
@@ -493,14 +535,14 @@ def test_refused_rule_exits_2(capsys, monkeypatch):
 
 
 def test_nonfinite_report_exits_1(capsys, monkeypatch, tmp_path):
-    real = ca.kernel_norm_scan
+    real = series.kernel_norm_scan_p2
 
     def scan(*args, **kwargs):
         res = real(*args, **kwargs)
         res.values[1] = np.nan
         return res
 
-    monkeypatch.setattr(ca, "kernel_norm_scan", scan)
+    monkeypatch.setattr(series, "kernel_norm_scan_p2", scan)
     out = tmp_path / "scan.csv"
     argv = ["kernel", "norm-scan", "--p", "2", "--alpha", "1", "--beta", "0",
             "--radii", "0.9,0.95,0.98"]

@@ -22,12 +22,6 @@ def lgamma_gamma_k(n, alpha, k):
     return math.exp(2 * lg(k + 1) - (lg(b + k) - lg(b)) - (lg(h + k) - lg(h)))
 
 
-def test_pochhammer_basic():
-    assert kc.pochhammer(3.0, 0) == 1.0
-    assert kc.pochhammer(3.0, 3) == 3 * 4 * 5
-    assert kc.pochhammer(-2.5, 2) == (-2.5) * (-1.5)
-
-
 def test_dim_harmonics_small():
     # n=2: 1, 2, 2, ...; n=3: 2k+1
     assert [kc.dim_harmonics(2, k) for k in range(4)] == [1, 2, 2, 2]

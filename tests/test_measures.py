@@ -353,3 +353,29 @@ def test_embedding_constant_identity_measure():
     mu = me.nu_alpha_measure(2, 0.5)
     est = me.embedding_constant_estimate(mu, 2.0, 2.0, 0.5, trials=10, seed=3)
     assert est == pytest.approx(1.0, rel=1e-4)
+
+
+def test_berezin_type_table_matches_nodewise_mpmath():
+    # the density term is one bracket series over the level radial nodes,
+    # after Euler's transformation; summed node by node instead, it is the
+    # 2F1 angular mean at each node, at 30 digits.  At r = 0.999 and 0.9999
+    # the series runs to thousands of terms
+    import mpmath
+    d = me.Density("tabulated-radial", 0.5, 2.0, np.array([0.0, 0.3, 0.7, 1.0]),
+                   np.array([1.0, 2.0, 0.5, 0.1]))
+    for n in (2, 3):
+        rho, W = d.radial_rule(n, 0.0, 32)
+        mu = me.Measure(n, density=d)
+        for alpha in (-0.5, 1.0):
+            for s_exp in (0.5, 2.0):
+                sigma = alpha + n + s_exp
+                for r in (0.3, 0.9, 0.97, 0.999, 0.9999):
+                    x = np.zeros(n)
+                    x[0] = r
+                    with mpmath.workdps(30):
+                        want = (1 - mpmath.mpf(r) ** 2) ** s_exp * mpmath.fsum(
+                            mpmath.mpf(w) * mpmath.hyp2f1(sigma / 2, sigma / 2 - (n - 2) / 2,
+                                                          n / 2, (mpmath.mpf(r) * p) ** 2)
+                            for p, w in zip(rho.tolist(), W.tolist()))
+                    got = me.berezin_type(mu, alpha, s_exp, x, level=32)
+                    assert got == pytest.approx(float(want), rel=1e-12), (n, alpha, s_exp, r)

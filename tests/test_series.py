@@ -1,6 +1,8 @@
-"""The numpy-free scalar kernel value: its enclosure, its rounding argument,
-and the one gamma table that the array layers share."""
+"""The numpy-free series module: the scalar kernel value, its enclosure and
+rounding argument, the one gamma table that the array layers share, and
+the p = 2 kernel-power series."""
 
+import ast
 import importlib
 import math
 import os
@@ -12,6 +14,8 @@ import pytest
 
 from bbesov import kernelcore as kc
 from bbesov import series
+
+from oracles import p2_coefficients_numpy
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -72,6 +76,23 @@ def test_perfbench_pairs_within_truncation_bound(tmp_path):
         assert err <= kv.truncation_bound, (x, y)
 
 
+def test_truncation_bound_above_exact_majorant_tail(tmp_path):
+    # truncation_bound is gamma_K h_K q^K/(1 - R q), R = 1 + m/K, planned at
+    # a q rounded up from the exact |x||y| and rounded up itself; at 50
+    # digits, at the exact q, with gamma_k = k + 1 and h_k = 2 (n = 2,
+    # alpha = 0), the same majorant must not exceed it
+    with mpmath.workdps(50):
+        for x, y in _perfbench_pairs(range(101, 111), str(tmp_path)):
+            kv = series.kernel_eval(2, 0.0, x, y, tol=1e-12)
+            K = kv.terms_used
+            q = mpmath.sqrt((mpmath.mpf(x[0]) ** 2 + mpmath.mpf(x[1]) ** 2)
+                            * (mpmath.mpf(y[0]) ** 2 + mpmath.mpf(y[1]) ** 2))
+            m = max(K * (mpmath.mpf(K + 2) / (K + 1) - 1), 1) + 1  # series._tail_ratio
+            tail = (K + 1) * 2 * q**K / (1 - (1 + m / K) * q)
+            assert kv.truncation_bound >= tail, (x, y)
+            assert kv.truncation_bound <= 1e-12
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_recurrence_error_propagation_bound(n):
     # kernel_eval's rounding argument: a unit error at degree j of the zonal
@@ -119,3 +140,36 @@ def test_gamma_coeffs_is_the_series_table(monkeypatch):
                 assert got.tobytes() == _cumprod_table(n, alpha, kmax).tobytes()
                 assert got.tobytes() == series.gamma_table(n, alpha, kmax)[:kmax + 1].tobytes()
                 assert not got.flags.writeable
+
+
+def test_p2_coefficients_bit_equal_to_numpy():
+    # the Python-float coefficients gamma_k^2 h_k M_k equal the former numpy
+    # construction bit for bit, on both gamma branches, so the p = 2 scans
+    # print the same bytes
+    for n in (2, 3, 4, 5):
+        for alpha in (-4.25, -0.5, 0.0, 1.0, 3.0):
+            for w in (-0.5, 0.0, 2.0):
+                for q in (0.25, 0.81, 0.98):
+                    got, _ = series.p2_coefficients(
+                        n, alpha, q, lambda K: series.radial_moments(n, w, K))
+                    want = p2_coefficients_numpy(n, alpha, q, w)
+                    assert np.array(got).tobytes() == want.tobytes(), (n, alpha, w, q)
+
+
+def test_series_imports_only_the_standard_library():
+    # `kernel eval`, `kernel bracket-scan` and `kernel norm-scan --p 2` load
+    # series and errors alone: any other import, a function-local one
+    # included, would put it on their start-up
+    tree = ast.parse(open(series.__file__).read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = ["." * node.level + (node.module or "")]
+        else:
+            assert not (isinstance(node, ast.Name) and node.id == "__import__")
+            assert not (isinstance(node, ast.Attribute) and node.attr == "import_module")
+            continue
+        for name in names:
+            assert name == ".errors" or (
+                not name.startswith(".") and name.split(".")[0] in sys.stdlib_module_names), name
